@@ -25,6 +25,8 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseManifestLine -fuzztime=10s -run='^$$' ./internal/corpus/
 	$(GO) test -fuzz=FuzzDecodeCheckpoint -fuzztime=10s -run='^$$' ./internal/corpus/
 	$(GO) test -fuzz=FuzzServerHandle -fuzztime=10s -run='^$$' ./internal/ocd/
+	$(GO) test -fuzz=FuzzRead -fuzztime=10s -run='^$$' ./internal/journal/
+	$(GO) test -fuzz=FuzzDecodeSpec -fuzztime=10s -run='^$$' ./internal/server/
 
 # resume-smoke kills a persisted campaign with SIGKILL, verifies the durable
 # store, resumes it and asserts coverage is a superset (the CI crash-safety

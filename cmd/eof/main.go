@@ -33,7 +33,7 @@ func main() {
 		modules   = flag.String("modules", "", "comma-separated source prefixes to instrument")
 		shards    = flag.Int("shards", 1, "board-pool size: shard the campaign across N boards with shared feedback")
 		spares    = flag.Int("spares", 0, "hot-spare boards held in reserve for fleet failover (needs -shards > 1)")
-		syncMin   = flag.Float64("sync-minutes", 0, "fleet feedback-exchange interval in virtual minutes (0 = default 10)")
+		syncMin   = flag.Float64("sync-minutes", 0, "epoch-barrier interval in virtual minutes: fleet feedback exchange and -corpus checkpoints (0 = default 10)")
 		tiers     = flag.Bool("tiers", false, "tiered execution: an emulation tier explores and the hardware pool confirms its findings at sync barriers")
 		emulWidth = flag.Int("emul-shards", 0, "emulation explore-tier width (0 = default 4, needs -tiers)")
 		legacy    = flag.Bool("legacy-link", false, "disable vectored debug-link commands (older probe firmware)")
@@ -172,16 +172,12 @@ func main() {
 		fmt.Printf("telemetry: http://%s/metrics (/status, /debug/pprof/)\n", addr)
 	}
 	budget := time.Duration(*minutes * float64(time.Minute))
-	if *tiers {
-		width := *emulWidth
-		if width <= 0 {
-			width = 4
-		}
+	if lay := opts.Layout(); lay.EmulShards > 0 {
 		fmt.Printf("fuzzing %s on %d %s boards + %d emulated explore shards for %v of total board time (seed %d)\n",
-			*osName, *shards, *board, width, budget, *seed)
-	} else if *shards > 1 {
+			*osName, lay.Shards, *board, lay.EmulShards, budget, *seed)
+	} else if lay.Shards > 1 {
 		fmt.Printf("fuzzing %s on a pool of %d %s boards for %v of total board time (seed %d)\n",
-			*osName, *shards, *board, budget, *seed)
+			*osName, lay.Shards, *board, budget, *seed)
 	} else {
 		fmt.Printf("fuzzing %s on %s for %v of virtual time (seed %d)\n", *osName, *board, budget, *seed)
 	}

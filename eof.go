@@ -22,7 +22,6 @@ import (
 	"hash/fnv"
 	"io"
 	"os"
-	"sync/atomic"
 	"time"
 
 	"github.com/eof-fuzz/eof/internal/board"
@@ -85,15 +84,17 @@ type Options struct {
 	// Shards > 1 shards the campaign across a pool of that many virtual
 	// boards running concurrently with shared feedback (fleet mode). The
 	// budget passed to Run is total board time, split evenly; the report's
-	// Duration is the pool's wall-clock (budget/Shards).
+	// Duration is the pool's wall-clock (budget/Shards). A solo campaign
+	// (Shards <= 1 without Tiers) runs as a fleet of one.
 	Shards int
-	// SyncEvery is the fleet feedback-exchange interval (default 10
-	// virtual minutes). Ignored when Shards <= 1.
+	// SyncEvery is the epoch-barrier interval (default 10 virtual minutes):
+	// the fleet's feedback-exchange cadence and, with CorpusDir, the
+	// checkpoint cadence, solo campaigns included.
 	SyncEvery time.Duration
 	// Spares is the fleet's hot-spare pool size: extra boards held in
 	// reserve and promoted into the slot of a board that dies or turns
 	// chronically sick, re-seeded from the shared corpus at the next sync
-	// barrier. Ignored when Shards <= 1.
+	// barrier. Ignored by a solo campaign.
 	Spares int
 	// Tiers enables tiered execution: alongside the hardware pool, a tier
 	// of EmulShards emulated boards explores the same campaign at emulation
@@ -123,10 +124,10 @@ type Options struct {
 	// Triage enables the crash-triage pipeline: every finding is replayed on
 	// freshly restored state to classify its reproducibility (stable / flaky
 	// / unreproducible), then ddmin-minimized while its crash cluster keeps
-	// matching. Solo campaigns triage between fuzzing iterations; fleets
-	// dedicate one extra board and triage at sync barriers, so confirmation
-	// happens on different hardware than discovery. Replay cost lands in the
-	// report's "triaging" time bucket.
+	// matching. Solo campaigns triage between fuzzing iterations; pools
+	// (Shards > 1 or Tiers) dedicate one extra board and triage at sync
+	// barriers, so confirmation happens on different hardware than
+	// discovery. Replay cost lands in the report's "triaging" time bucket.
 	Triage bool
 	// TriageReplays is the confirmation replay count per finding (default 3).
 	TriageReplays int
@@ -575,21 +576,17 @@ type QuarantineEvent struct {
 	Tier string
 }
 
-// Campaign is one configured fuzzing run.
+// Campaign is one configured fuzzing run. Every campaign runs on a fleet; a
+// solo campaign is a fleet of one.
 type Campaign struct {
-	engine *core.Engine // solo mode
-	pool   *fleet.Fleet // fleet mode (Shards > 1)
+	pool   *fleet.Fleet
 	shards int
 
 	metricsSink *metrics.Sink   // non-nil with Options.MetricsAddr
 	metricsSrv  *metrics.Server // ditto
 
-	// Persistence state (Options.CorpusDir). syncEvery is the solo-mode
-	// checkpoint cadence; stop mirrors the engines' stop flags so the solo
-	// persist loop drains after the current epoch's checkpoint.
+	// Persistence state (Options.CorpusDir).
 	persist      *corpus.Persister
-	syncEvery    time.Duration
-	stop         atomic.Bool
 	resumed      bool
 	resumedSeeds int
 	priorEpochs  int
@@ -692,36 +689,11 @@ func NewCampaign(opts Options) (*Campaign, error) {
 		cfg.SampleEvery = opts.SampleEvery
 	}
 	cfg.FlightRecorder = opts.FlightRecorder
-	emulShards := 0
-	if opts.Tiers {
-		emulShards = opts.EmulShards
-		if emulShards <= 0 {
-			emulShards = 4
-		}
-	}
-	shards := opts.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	fleetMode := shards > 1 || emulShards > 0
-	// emulStart is the emulation tier's first physical board index: the
-	// hardware slots, then the spares, then the triage board when manned.
-	emulStart := -1
-	if emulShards > 0 {
-		emulStart = shards + opts.Spares
-		if opts.Triage {
-			emulStart++
-		}
-	}
+	// The journal header, the live sinks' tier boundary and the fleet all
+	// follow one board layout.
+	hdr := opts.Layout()
 	if opts.TraceJSONL != nil {
-		hdr := trace.Header{
-			OS: info.Name, Board: boardName, Seed: cfg.Seed, Shards: shards,
-			EmulShards: emulShards, Digest: optionsDigest(opts),
-		}
-		if fleetMode {
-			hdr.Spares = opts.Spares
-			hdr.Triage = opts.Triage
-		}
+		hdr.OS, hdr.Board, hdr.Seed, hdr.Digest = info.Name, boardName, cfg.Seed, optionsDigest(opts)
 		if _, err := opts.TraceJSONL.Write(trace.AppendHeaderJSON(nil, hdr)); err != nil {
 			return nil, fmt.Errorf("eof: journal header: %w", err)
 		}
@@ -733,10 +705,10 @@ func NewCampaign(opts Options) (*Campaign, error) {
 			w = os.Stderr
 		}
 		status := trace.NewStatus(w, opts.StatusEvery)
-		status.SetEmulStart(emulStart)
+		status.SetEmulStart(hdr.EmulStart())
 		cfg.StatusSink = status
 	}
-	c := &Campaign{shards: shards}
+	c := &Campaign{shards: hdr.Shards}
 	if store != nil {
 		popts := corpus.PersisterOptions{
 			Seed:         cfg.Seed,
@@ -754,14 +726,10 @@ func NewCampaign(opts Options) (*Campaign, error) {
 			c.resumed = true
 		}
 		c.persist = corpus.NewPersister(store, popts)
-		c.syncEvery = opts.SyncEvery
-		if c.syncEvery <= 0 {
-			c.syncEvery = fleet.DefaultSyncEvery
-		}
 	}
 	if opts.MetricsAddr != "" {
 		reg := metrics.NewRegistry()
-		c.metricsSink = metrics.NewSink(reg, emulStart)
+		c.metricsSink = metrics.NewSink(reg, hdr.EmulStart())
 		srv, err := metrics.Serve(opts.MetricsAddr, reg, c.metricsSink.Status)
 		if err != nil {
 			return nil, err
@@ -771,39 +739,40 @@ func NewCampaign(opts Options) (*Campaign, error) {
 		// the deterministic journal path is untouched.
 		cfg.StatusSink = trace.Multi(cfg.StatusSink, c.metricsSink)
 	}
-	if fleetMode {
-		pool, err := fleet.New(cfg, fleet.Options{
-			Shards:     opts.Shards,
-			SyncEvery:  opts.SyncEvery,
-			Spares:     opts.Spares,
-			EmulShards: emulShards,
-			Persist:    c.persist,
-		})
-		if err != nil {
-			c.closeMetrics()
-			return nil, err
-		}
-		c.pool = pool
-		if resume != nil {
-			d, clusters, seeds := buildResumeDelta(pool.Engines()[0].ParseProgJSON, resume)
-			pool.SeedFrom(d, clusters)
-			c.resumedSeeds = seeds
-		}
-		return c, nil
-	}
-	engine, err := core.NewEngine(cfg)
+	pool, err := fleet.New(cfg, fleet.Options{
+		Shards:     hdr.Shards,
+		SyncEvery:  opts.SyncEvery,
+		Spares:     hdr.Spares,
+		EmulShards: hdr.EmulShards,
+		Persist:    c.persist,
+	})
 	if err != nil {
 		c.closeMetrics()
 		return nil, err
 	}
-	c.engine = engine
+	c.pool = pool
 	if resume != nil {
-		d, clusters, seeds := buildResumeDelta(engine.ParseProgJSON, resume)
-		engine.ImportSyncDelta(d)
-		engine.MarkKnownClusters(clusters)
+		d, clusters, seeds := buildResumeDelta(pool.Engines()[0].ParseProgJSON, resume)
+		pool.SeedFrom(d, clusters)
 		c.resumedSeeds = seeds
 	}
 	return c, nil
+}
+
+// Layout returns the board layout the campaign runs on, in the topology
+// fields of its journal header: Shards hardware slots, then Spares hot
+// spares, then a dedicated triage board (Triage) — a solo campaign, a fleet
+// of one, has neither — then the EmulShards emulated shards of the Tiers
+// option (default 4).
+func (o Options) Layout() trace.Header {
+	emul := 0
+	if o.Tiers {
+		emul = o.EmulShards
+		if emul <= 0 {
+			emul = 4
+		}
+	}
+	return fleet.Options{Shards: o.Shards, Spares: o.Spares, EmulShards: emul}.Layout(o.Triage)
 }
 
 // buildResumeDelta converts persisted store state into the sync delta that
@@ -860,16 +829,7 @@ func optionsDigest(opts Options) string {
 // fleet mode the budget is total board time, split evenly across the pool.
 // Run may be called once per campaign.
 func (c *Campaign) Run(budget time.Duration) (*Report, error) {
-	var rep *core.Report
-	var err error
-	switch {
-	case c.pool != nil:
-		rep, err = c.pool.Run(budget)
-	case c.persist != nil:
-		rep, err = c.runSoloPersist(budget)
-	default:
-		rep, err = c.engine.Run(budget)
-	}
+	rep, err := c.pool.Run(budget)
 	if err != nil {
 		return nil, err
 	}
@@ -889,73 +849,7 @@ func (c *Campaign) Run(budget time.Duration) (*Report, error) {
 // including the final durable checkpoint when CorpusDir is set — and Run
 // returns the report for the completed portion. Safe to call from another
 // goroutine (signal handlers).
-func (c *Campaign) RequestStop() {
-	c.stop.Store(true)
-	if c.pool != nil {
-		c.pool.RequestStop()
-		return
-	}
-	c.engine.RequestStop()
-}
-
-// runSoloPersist is engine.Run with the budget cut into checkpoint epochs:
-// RunFor slices toward absolute virtual deadlines, with a persistence barrier
-// after each slice. Because the engine checks its deadline only between
-// iterations and the barrier touches no engine state (the sync delta it
-// drains is solo-idle), the iteration sequence — and thus the journal and
-// report — is exactly what one unsliced RunFor would produce.
-func (c *Campaign) runSoloPersist(budget time.Duration) (*core.Report, error) {
-	e := c.engine
-	if err := e.Setup(); err != nil {
-		return nil, err
-	}
-	clock := e.Clock()
-	start := clock.Now()
-	end := start + budget
-	for epoch := 1; clock.Now() < end; epoch++ {
-		slice := c.syncEvery
-		if rem := end - clock.Now(); slice > rem {
-			slice = rem
-		}
-		if err := e.RunFor(slice); err != nil {
-			return nil, err
-		}
-		if err := c.soloBarrier(epoch, clock.Now()-start); err != nil {
-			return nil, err
-		}
-		if c.stop.Load() {
-			break
-		}
-	}
-	rep := e.Report()
-	e.EmitTimeBudget(rep.TimeBy, rep.Duration)
-	return rep, nil
-}
-
-// soloBarrier persists one solo epoch: the slice's corpus admissions (the
-// engine's drained sync delta), the cumulative collector edges, the known
-// crash clusters and the single shard cursor.
-func (c *Campaign) soloBarrier(epoch int, elapsed time.Duration) error {
-	e := c.engine
-	d := e.DrainSyncDelta()
-	b := corpus.Barrier{
-		Epoch:    epoch,
-		Elapsed:  elapsed,
-		Edges:    e.CollectorEdges(),
-		Clusters: e.KnownClusters(),
-		Cursors:  []corpus.ShardCursor{{Shard: 0, Execs: e.Execs()}},
-	}
-	for _, s := range d.Seeds {
-		blob, err := prog.ToJSON(s.P)
-		if err != nil {
-			return fmt.Errorf("eof: persist seed: %w", err)
-		}
-		b.Admissions = append(b.Admissions, corpus.Admission{
-			Prog: blob, NewEdges: s.NewEdges, Edges: s.Edges,
-		})
-	}
-	return c.persist.Barrier(b)
-}
+func (c *Campaign) RequestStop() { c.pool.RequestStop() }
 
 // persistReport snapshots the persistence layer for the public report (nil
 // without Options.CorpusDir).
@@ -1008,11 +902,7 @@ func finalOf(r *Report) metrics.Final {
 // telemetry server if one is running.
 func (c *Campaign) Close() {
 	c.closeMetrics()
-	if c.pool != nil {
-		c.pool.Close()
-		return
-	}
-	c.engine.Close()
+	c.pool.Close()
 }
 
 func convertReport(r *core.Report) *Report {

@@ -294,7 +294,7 @@ type Engine struct {
 	mainAddr  uint64
 	excAddrs  map[uint64]string
 	collector *cov.Collector
-	shared    *cov.Collector // optional fleet-wide sink, nil when solo
+	shared    *cov.Collector // optional fleet-wide sink, nil on a bare engine
 	corpus    *Corpus
 	logMon    *LogMonitor
 

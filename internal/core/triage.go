@@ -21,9 +21,10 @@ type TriageConfig struct {
 	// (default 48).
 	MinBudget int
 	// Deferred parks findings in the engine's queue without draining it
-	// between iterations. Fleet campaigns set it on their shards and drain
+	// between iterations. Pooled fleets set it on their shards and drain
 	// every queue onto a dedicated triage board at epoch barriers, so
-	// confirmation happens on different hardware than discovery.
+	// confirmation happens on different hardware than discovery; a fleet of
+	// one leaves it off.
 	Deferred bool
 }
 
@@ -54,9 +55,9 @@ func (e *Engine) DrainTriageQueue() []TriageItem {
 	return q
 }
 
-// drainTriage is the solo-engine path: triage every queued finding in
-// discovery order between fuzzing iterations. Deferred mode leaves the queue
-// for the fleet.
+// drainTriage is the in-line path (a fleet of one, or a bare engine): triage
+// every queued finding in discovery order between fuzzing iterations.
+// Deferred mode leaves the queue for the fleet.
 func (e *Engine) drainTriage() error {
 	if !e.cfg.Triage.Enabled || e.cfg.Triage.Deferred {
 		return nil

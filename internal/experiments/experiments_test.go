@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -129,6 +130,35 @@ func TestAblationLinkFaultsShape(t *testing.T) {
 	}
 	if faulty[5] == "0.0" {
 		t.Fatalf("10%% fault row absorbed nothing: %v", faulty)
+	}
+	t.Logf("\n%s", tab.Render())
+}
+
+// TestTimeAccountingShape renders E-time: one share column per board-time
+// category, each row's shares summing to its whole budget.
+func TestTimeAccountingShape(t *testing.T) {
+	tab, err := TimeAccounting(Options{Hours: 0.1, Runs: 1, SeedBase: 11, Parallel: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tab.Rows) != 4 {
+		t.Fatalf("rows: %d", len(tab.Rows))
+	}
+	for _, row := range tab.Rows {
+		if len(row) != len(tab.Columns) {
+			t.Fatalf("row %v has %d cells for %d columns %v", row, len(row), len(tab.Columns), tab.Columns)
+		}
+		sum := 0.0
+		for _, cell := range row[2:] {
+			var share float64
+			if _, err := fmt.Sscanf(cell, "%f%%", &share); err != nil {
+				t.Fatalf("share cell %q: %v", cell, err)
+			}
+			sum += share
+		}
+		if sum < 99.5 || sum > 100.5 {
+			t.Fatalf("row %v shares sum to %.1f%%", row, sum)
+		}
 	}
 	t.Logf("\n%s", tab.Render())
 }

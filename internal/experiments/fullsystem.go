@@ -117,20 +117,12 @@ func runFullSystemJob(job fsJob, opts Options) (*core.Report, error) {
 		cfg := core.DefaultConfig(info, evalBoards()[job.os])
 		cfg.Seed = seed
 		cfg.FeedbackGuided = job.tool == "EOF"
-		if opts.Shards > 1 {
-			pool, err := fleet.New(cfg, fleet.Options{Shards: opts.Shards})
-			if err != nil {
-				return nil, err
-			}
-			defer pool.Close()
-			return pool.Run(opts.budget())
-		}
-		e, err := core.NewEngine(cfg)
+		pool, err := fleet.New(cfg, fleet.Options{Shards: opts.Shards})
 		if err != nil {
 			return nil, err
 		}
-		defer e.Close()
-		return e.Run(opts.budget())
+		defer pool.Close()
+		return pool.Run(opts.budget())
 	case "Tardis":
 		cfg := tardis.DefaultConfig(info, boards.QEMUVirt())
 		cfg.Seed = seed

@@ -34,7 +34,7 @@ func TimeAccounting(opts Options) (*Table, error) {
 		Title: fmt.Sprintf("E-time: Board-time accounting on FreeRTOS (%gh x %d runs)", opts.Hours, opts.Runs),
 		Columns: []string{
 			"Config", "Execs", "Executing", "Restoring", "Reflashing",
-			"Link overhead", "Sync barrier",
+			"Link overhead", "Sync barrier", "Triaging", "Confirming",
 		},
 	}
 	reports := make([]*core.Report, len(configs)*opts.Runs)
@@ -50,26 +50,14 @@ func TimeAccounting(opts Options) (*Table, error) {
 		if c.faults > 0 {
 			cfg.LinkFaults = link.Profile(c.faults, 0)
 		}
-		if c.shards > 1 {
-			pool, err := fleet.New(cfg, fleet.Options{Shards: c.shards})
-			if err != nil {
-				return err
-			}
-			defer pool.Close()
-			// Same total board time as the solo rows, spread over the pool.
-			rep, err := pool.Run(opts.budget() * time.Duration(c.shards))
-			if err != nil {
-				return err
-			}
-			reports[i] = rep
-			return nil
-		}
-		e, err := core.NewEngine(cfg)
+		shards := max(c.shards, 1)
+		pool, err := fleet.New(cfg, fleet.Options{Shards: shards})
 		if err != nil {
 			return err
 		}
-		defer e.Close()
-		rep, err := e.Run(opts.budget())
+		defer pool.Close()
+		// Same total board time as the solo rows, spread over the pool.
+		rep, err := pool.Run(opts.budget() * time.Duration(shards))
 		if err != nil {
 			return err
 		}

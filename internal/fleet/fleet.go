@@ -37,6 +37,13 @@
 // replay that does not emits TierDiverge and records a first-class
 // cross-tier divergence on the merged report. Hardware stays the ground
 // truth; emulation only proposes.
+//
+// A single hardware board with no emulation tier is a fleet of one, the
+// paper's own setup, and every solo campaign runs as one. It has nothing to
+// exchange, so its barriers only flush the journal and commit checkpoints; it
+// triages its own findings between iterations instead of on a dedicated
+// board; and its epochs run on the board's own clock, so a sliced run
+// executes exactly the iterations of one unsliced engine.Run.
 package fleet
 
 import (
@@ -67,7 +74,8 @@ const shardSeedStride = 1_000_003
 
 // Options parameterises a fleet campaign.
 type Options struct {
-	// Shards is the number of boards in the pool (minimum 1).
+	// Shards is the number of boards in the pool (minimum 1). One board
+	// with no EmulShards is a fleet of one (see the package comment).
 	Shards int
 	// SyncEvery is the virtual interval between feedback-exchange barriers
 	// (default DefaultSyncEvery).
@@ -101,12 +109,44 @@ type Options struct {
 	Persist *corpus.Persister
 }
 
+// withDefaults fills zero fields with the defaults and clamps negative
+// sizes. A fleet of one has no pool to fail over within, so it holds no
+// spares.
+func (o Options) withDefaults() Options {
+	o.Shards = max(o.Shards, 1)
+	o.Spares = max(o.Spares, 0)
+	o.EmulShards = max(o.EmulShards, 0)
+	if o.SyncEvery <= 0 {
+		o.SyncEvery = DefaultSyncEvery
+	}
+	if o.solo() {
+		o.Spares = 0
+	}
+	return o
+}
+
+// solo reports whether the options describe a fleet of one: a single
+// hardware board and no emulation tier.
+func (o Options) solo() bool { return o.Shards <= 1 && o.EmulShards <= 0 }
+
+// Layout returns the physical board layout New builds for these options, in
+// the topology fields of a journal header: Shards hardware slots, then Spares
+// hot spares, then the dedicated triage board when Triage is set (triage
+// names whether the campaign triages at all), then EmulShards emulated
+// shards. A fleet of one has neither spares nor a triage board.
+func (o Options) Layout(triage bool) trace.Header {
+	o = o.withDefaults()
+	return trace.Header{Shards: o.Shards, Spares: o.Spares, Triage: triage && !o.solo(), EmulShards: o.EmulShards}
+}
+
 // Fleet is one sharded campaign over a board pool with hot-spare failover.
 type Fleet struct {
 	opts    Options
 	engines []*core.Engine // physical boards: shards first, then spares
 	shared  *cov.Collector
 	ran     bool
+	// solo marks a fleet of one (see the package comment).
+	solo bool
 
 	// stop is the graceful-shutdown flag: set from a signal handler, checked
 	// after each epoch barrier so the campaign drains with a final durable
@@ -174,20 +214,11 @@ type Fleet struct {
 // link-fault injector and degradation model (when their Seeds are zero), so
 // every board in the pool ages and faults deterministically but differently.
 func New(cfg core.Config, opts Options) (*Fleet, error) {
-	if opts.Shards <= 0 {
-		opts.Shards = 1
-	}
-	if opts.Spares < 0 {
-		opts.Spares = 0
-	}
-	if opts.SyncEvery <= 0 {
-		opts.SyncEvery = DefaultSyncEvery
-	}
-	if opts.EmulShards < 0 {
-		opts.EmulShards = 0
-	}
+	opts = opts.withDefaults()
+	lay := opts.Layout(cfg.Triage.Enabled)
 	f := &Fleet{
 		opts:          opts,
+		solo:          opts.solo(),
 		shared:        cov.NewCollector(),
 		sickThreshold: cfg.Health.WithDefaults().SickThreshold,
 		triageIdx:     -1,
@@ -201,9 +232,10 @@ func New(cfg core.Config, opts Options) (*Fleet, error) {
 	}
 	total := opts.Shards + opts.Spares
 	boards := total
-	if cfg.Triage.Enabled {
+	if lay.Triage {
 		// One extra physical board, dedicated to triage: shards defer
-		// (enqueue only) and the barrier drains their queues onto it.
+		// (enqueue only) and the barrier drains their queues onto it. A
+		// fleet of one triages in-line between iterations instead.
 		f.triageIdx = total
 		boards = total + 1
 	}
@@ -211,9 +243,7 @@ func New(cfg core.Config, opts Options) (*Fleet, error) {
 		scfg := cfg
 		scfg.Seed = cfg.Seed + int64(i)*shardSeedStride
 		scfg.Shard = i
-		if scfg.Triage.Enabled {
-			scfg.Triage.Deferred = true
-		}
+		scfg.Triage.Deferred = lay.Triage
 		if i < len(opts.Degrade) && i < total {
 			scfg.Degrade = opts.Degrade[i]
 		}
@@ -393,12 +423,9 @@ func (f *Fleet) Run(total time.Duration) (*core.Report, error) {
 
 	var series, emulSeries []core.CoverSample
 	var elapsed time.Duration
-	epochs := 0
-	for remaining := shardBudget; remaining > 0; remaining -= f.opts.SyncEvery {
-		slice := f.opts.SyncEvery
-		if slice > remaining {
-			slice = remaining
-		}
+	start := f.engines[0].Clock().Now()
+	for epochs := 1; elapsed < shardBudget; epochs++ {
+		slice := min(f.opts.SyncEvery, shardBudget-elapsed)
 		// Run the epoch slice on every manned slot concurrently — hardware
 		// and emulation tiers alike. Each engine owns its board, link and
 		// RNG; the only shared state is a mutex-protected collector sink
@@ -455,8 +482,14 @@ func (f *Fleet) Run(total time.Duration) (*core.Report, error) {
 			}
 			return nil, fmt.Errorf("fleet: emul shard %d: %w", j, err)
 		}
-		elapsed += slice
-		epochs++
+		if f.solo {
+			// A fleet of one follows its board's clock: each slice absorbs the
+			// previous one's overshoot, so the last deadline is exactly the
+			// budget and slicing changes no iteration of the run.
+			elapsed = f.engines[0].Clock().Now() - start
+		} else {
+			elapsed += slice
+		}
 
 		// Barrier: exchange feedback in fixed slot order so every board sees
 		// the same import sequence run to run. A dying board's final partial
@@ -507,10 +540,10 @@ func (f *Fleet) Run(total time.Duration) (*core.Report, error) {
 			}
 		}
 
-		// Supervise in slot order: journal the epoch for survivors,
-		// quarantine dead boards, retire the chronically sick (only when a
-		// spare is ready — a sick board still beats an empty slot), promote
-		// spares.
+		// Supervise in slot order: journal the epoch for survivors (a fleet
+		// of one exchanged nothing, so it journals no epoch), quarantine dead
+		// boards, retire the chronically sick (only when a spare is ready — a
+		// sick board still beats an empty slot), promote spares.
 		for slot, b := range occupants {
 			if b < 0 {
 				continue
@@ -522,7 +555,9 @@ func (f *Fleet) Run(total time.Duration) (*core.Report, error) {
 				}
 				continue
 			}
-			e.Tracer().Emit(trace.Event{Kind: trace.SyncEpoch, Exec: epochs, Edges: f.shared.Total()})
+			if !f.solo {
+				e.Tracer().Emit(trace.Event{Kind: trace.SyncEpoch, Exec: epochs, Edges: f.shared.Total()})
+			}
 			if e.Health().Sick(f.sickThreshold) && len(f.spares) > 0 {
 				if err := f.quarantine(slot, "sick", elapsed); err != nil {
 					return nil, err
@@ -856,9 +891,14 @@ func copyTriage(from, to *core.BugReport) {
 }
 
 // appendHistory accumulates a broadcast delta into the promotion history.
-// ImportSyncDelta clones seed programs on import, so sharing the slices with
-// the original broadcast is safe.
+// Only a spare still in reserve can need it, so a pool with none left (a
+// fleet of one never has any) keeps nothing. ImportSyncDelta clones seed
+// programs on import, so sharing the slices with the original broadcast is
+// safe.
 func (f *Fleet) appendHistory(d core.SyncDelta) {
+	if len(f.spares) == 0 {
+		return
+	}
 	f.history.Edges = append(f.history.Edges, d.Edges...)
 	f.history.Seeds = append(f.history.Seeds, d.Seeds...)
 	f.history.Rewards = append(f.history.Rewards, d.Rewards...)
@@ -917,8 +957,17 @@ func (f *Fleet) ShardReports() []*core.Report { return f.shardReports }
 // bucket; afterwards every activated board's TimeBy sums to the pool
 // Duration and the merged TimeBy sums to activated-boards x Duration. The
 // merged Health is the pool's sickest board; BoardHealth and Quarantines
-// carry the full story.
+// carry the full story. A fleet of one has nothing to merge: its board's
+// report, with the board's own coverage series and per-command link stats,
+// is the campaign's, exactly as engine.Run returns it.
 func (f *Fleet) mergeReport(series, emulSeries []core.CoverSample) *core.Report {
+	if f.solo {
+		rep := f.engines[0].Report()
+		f.shardReports = []*core.Report{rep}
+		f.engines[0].EmitTimeBudget(rep.TimeBy, rep.Duration)
+		f.flushJournal()
+		return rep
+	}
 	out := &core.Report{
 		Series: series, Edges: f.shared.Total(),
 		Quarantines: f.quarantines, Divergences: f.divergences,

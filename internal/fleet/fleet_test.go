@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -97,6 +98,79 @@ func TestFleetDeterministic(t *testing.T) {
 	for i := range a.Series {
 		if a.Series[i] != b.Series[i] {
 			t.Fatalf("series point %d differs: %+v vs %+v", i, a.Series[i], b.Series[i])
+		}
+	}
+}
+
+// TestFleetOfOneMatchesEngineRun checks the solo policy: a one-board fleet,
+// its budget sliced into several epochs, journals and reports exactly what a
+// bare engine.Run does — in-line triage, the engine's own coverage series and
+// per-command link stats included — and builds neither spares nor a triage
+// board.
+func TestFleetOfOneMatchesEngineRun(t *testing.T) {
+	cfg := fleetConfig(t, "rtthread", 1234)
+	cfg.Triage.Enabled = true
+	budget := 7 * time.Minute
+
+	engineJournal := trace.NewBuffer()
+	ecfg := cfg
+	ecfg.TraceSink = engineJournal
+	e, err := core.NewEngine(ecfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	want, err := e.Run(budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fleetJournal := trace.NewBuffer()
+	fcfg := cfg
+	fcfg.TraceSink = fleetJournal
+	f, err := New(fcfg, Options{Shards: 1, Spares: 2, SyncEvery: 2 * time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if n := len(f.Engines()); n != 1 {
+		t.Fatalf("fleet of one built %d boards, want 1 (no spares, no triage board)", n)
+	}
+	got, err := f.Run(budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Stats.TriagedBugs == 0 {
+		t.Fatalf("no finding triaged in-line: %+v", got.Stats)
+	}
+	if !reflect.DeepEqual(engineJournal.Events(), fleetJournal.Events()) {
+		t.Fatal("fleet-of-one journal differs from engine.Run's")
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("fleet-of-one report differs from engine.Run's:\n%+v\n%+v", want, got)
+	}
+}
+
+// TestLayout pins the board layout New builds: a lone hardware board drops
+// its spares and triages in-line, while a pool (or any tiered campaign)
+// keeps both, and the emulation tier starts after every hardware board.
+func TestLayout(t *testing.T) {
+	for _, tc := range []struct {
+		opts   Options
+		triage bool
+		want   trace.Header
+		emul   int
+	}{
+		{Options{}, true, trace.Header{Shards: 1}, -1},
+		{Options{Shards: 1, Spares: 2}, true, trace.Header{Shards: 1}, -1},
+		{Options{Shards: 2, Spares: 1}, true, trace.Header{Shards: 2, Spares: 1, Triage: true}, -1},
+		{Options{Shards: 2, Spares: -1}, false, trace.Header{Shards: 2}, -1},
+		{Options{Shards: 1, Spares: 1, EmulShards: 3}, true, trace.Header{Shards: 1, Spares: 1, Triage: true, EmulShards: 3}, 3},
+	} {
+		got := tc.opts.Layout(tc.triage)
+		if got != tc.want || got.EmulStart() != tc.emul {
+			t.Errorf("%+v triage=%v: layout %+v (emul start %d), want %+v (%d)",
+				tc.opts, tc.triage, got, got.EmulStart(), tc.want, tc.emul)
 		}
 	}
 }

@@ -389,8 +389,18 @@ func decodeSpec(raw json.RawMessage) (eof.Options, int, error) {
 	if opts.MetricsAddr != "" {
 		return opts, 0, badRequestf("options.MetricsAddr is daemon-managed")
 	}
-	return opts, footprintOf(opts), nil
+	// Bounding every board count keeps the footprint from overflowing into a
+	// negative that passes the pool-size check, and keeps the emulation tier
+	// (which the pool size does not bound) from exhausting host memory.
+	if opts.Shards > maxSpecBoards || opts.Spares > maxSpecBoards || opts.EmulShards > maxSpecBoards {
+		return opts, 0, badRequestf("options.Shards, Spares and EmulShards may not exceed %d", maxSpecBoards)
+	}
+	// Emulation shards run on compute, not pool hardware.
+	return opts, opts.Layout().HardwareBoards(), nil
 }
+
+// maxSpecBoards caps each board count a submitted spec may ask for.
+const maxSpecBoards = 1024
 
 func contains(xs []string, x string) bool {
 	for _, v := range xs {
@@ -399,28 +409,6 @@ func contains(xs []string, x string) bool {
 		}
 	}
 	return false
-}
-
-// footprintOf is the hardware boards a spec occupies while running:
-// shards, hot spares, and the fleet triage board when manned. Emulation
-// shards run on compute, not pool hardware.
-func footprintOf(o eof.Options) int {
-	shards := o.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	emul := 0
-	if o.Tiers {
-		emul = o.EmulShards
-		if emul <= 0 {
-			emul = 4
-		}
-	}
-	n := shards + o.Spares
-	if o.Triage && (shards > 1 || emul > 0) {
-		n++
-	}
-	return n
 }
 
 // Kick starts every queued job the scheduler grants boards to. Called

@@ -182,6 +182,8 @@ func TestAPIBadRequests(t *testing.T) {
 		{"resume is daemon-managed", "alice", good(eof.Options{OS: "freertos", Resume: true}), http.StatusBadRequest},
 		{"metrics addr is daemon-managed", "alice", good(eof.Options{OS: "freertos", MetricsAddr: ":0"}), http.StatusBadRequest},
 		{"footprint exceeds pool", "alice", good(eof.Options{OS: "freertos", Shards: 3}), http.StatusBadRequest},
+		{"footprint overflows", "alice", good(eof.Options{OS: "freertos", Shards: 1 << 62, Spares: 1 << 62}), http.StatusBadRequest},
+		{"emulation tier too wide", "alice", good(eof.Options{OS: "freertos", Tiers: true, EmulShards: 1 << 20}), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"unicode/utf8"
 )
 
 // JournalVersion is the schema version stamped into every journal header.
@@ -45,17 +46,23 @@ type Header struct {
 	Digest string `json:"digest,omitempty"`
 }
 
-// EmulStart returns the physical board index where the emulation tier begins,
-// or -1 for an untiered campaign.
+// HardwareBoards returns how many physical hardware boards the topology
+// holds: the shard slots, the spares and the triage board.
+func (h Header) HardwareBoards() int {
+	n := h.Shards + h.Spares
+	if h.Triage {
+		n++
+	}
+	return n
+}
+
+// EmulStart returns the physical board index where the emulation tier begins
+// (right after the hardware boards), or -1 for an untiered campaign.
 func (h Header) EmulStart() int {
 	if h.EmulShards <= 0 {
 		return -1
 	}
-	start := h.Shards + h.Spares
-	if h.Triage {
-		start++
-	}
-	return start
+	return h.HardwareBoards()
 }
 
 // ParseHeader decodes a journal header line. It returns an error when the
@@ -157,11 +164,37 @@ func AppendJSON(b []byte, ev Event) []byte {
 	}
 	if ev.Reason != "" {
 		b = append(b, `,"reason":`...)
-		b = strconv.AppendQuote(b, ev.Reason)
+		b = appendString(b, ev.Reason)
 	}
 	if ev.Dur != 0 {
 		b = append(b, `,"dur_ns":`...)
 		b = strconv.AppendInt(b, int64(ev.Dur), 10)
 	}
 	return append(b, '}', '\n')
+}
+
+// appendString appends s as a JSON string. Printable ASCII comes out as
+// strconv.Quote writes it, but control characters become \u escapes and
+// invalid UTF-8 becomes U+FFFD: Go-syntax escapes such as \a, \x07 or
+// \U000e0001 are not JSON, and a journal carrying one would not read back.
+func appendString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	for _, r := range s {
+		switch {
+		case r == '"' || r == '\\':
+			b = append(b, '\\', byte(r))
+		case r == '\n':
+			b = append(b, '\\', 'n')
+		case r == '\r':
+			b = append(b, '\\', 'r')
+		case r == '\t':
+			b = append(b, '\\', 't')
+		case r < 0x20 || r == 0x7f:
+			b = append(b, '\\', 'u', '0', '0', hex[r>>4], hex[r&0xf])
+		default:
+			b = utf8.AppendRune(b, r)
+		}
+	}
+	return append(b, '"')
 }

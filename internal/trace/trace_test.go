@@ -120,6 +120,32 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 }
 
+// TestJSONLReasonEscapes checks that any reason, control characters and
+// invalid UTF-8 included, is written as a JSON string that decodes back to
+// it (invalid bytes as U+FFFD), and that plain ASCII is written as before.
+func TestJSONLReasonEscapes(t *testing.T) {
+	for _, tc := range []struct{ reason, want, line string }{
+		{`crash "q" \ a`, `crash "q" \ a`, `"reason":"crash \"q\" \\ a"`},
+		{"tab\tnl\ncr\r", "tab\tnl\ncr\r", `"reason":"tab\tnl\ncr\r"`},
+		{"bel\a del\x7f", "bel\a del\x7f", `"reason":"bel\u0007 del\u007f"`},
+		{"bad\xffutf8 é", "bad�utf8 é", `"reason":"bad` + "�" + `utf8 é"`},
+	} {
+		line := AppendJSON(nil, Event{Kind: Bug, Reason: tc.reason})
+		if !bytes.Contains(line, []byte(tc.line)) {
+			t.Errorf("reason %q written as %s, want it to contain %s", tc.reason, line, tc.line)
+		}
+		var row struct {
+			Reason string `json:"reason"`
+		}
+		if err := json.Unmarshal(line, &row); err != nil {
+			t.Fatalf("reason %q: line is not JSON: %v\n%s", tc.reason, err, line)
+		}
+		if row.Reason != tc.want {
+			t.Errorf("reason %q decoded as %q, want %q", tc.reason, row.Reason, tc.want)
+		}
+	}
+}
+
 func TestBufferDrainResets(t *testing.T) {
 	b := NewBuffer()
 	b.Emit(Event{Kind: ExecBegin})
