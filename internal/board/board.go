@@ -428,7 +428,7 @@ func (b *Board) validatePartition(name string, wantMagic uint32) (*flash.Image, 
 	if p == nil {
 		return nil, &BootError{Partition: name, Err: fmt.Errorf("missing from partition table")}
 	}
-	raw, err := b.flashDev.Read(p.Offset, p.Size)
+	raw, err := b.flashDev.View(p.Offset, p.Size)
 	if err != nil {
 		return nil, &BootError{Partition: name, Err: err}
 	}
@@ -613,7 +613,7 @@ func (b *Board) RestoreSnapshot() (RestoreStats, error) {
 	for _, s := range b.flashDev.DirtySectors() {
 		off := s * sec
 		golden := b.snap.flash[off : off+sec]
-		cur, err := b.flashDev.Read(off, sec)
+		cur, err := b.flashDev.View(off, sec)
 		if err != nil {
 			return st, err
 		}

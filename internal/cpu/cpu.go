@@ -12,7 +12,7 @@ package cpu
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/eof-fuzz/eof/internal/vtime"
@@ -156,7 +156,8 @@ type Core struct {
 	clock *vtime.Clock
 
 	pc        uint64
-	bps       map[uint64]struct{}
+	bps       []uint64 // armed breakpoint addresses, ascending
+	bpFilter  uint64   // bpBit of every armed address, rebuilt when bps changes
 	instrOn   bool
 	covHook   func(pc uint64) (bufFull bool)
 	covTrapPC uint64
@@ -186,7 +187,6 @@ func New(clock *vtime.Clock, cfg Config) *Core {
 	return &Core{
 		cfg:      cfg,
 		clock:    clock,
-		bps:      make(map[uint64]struct{}),
 		resume:   make(chan resumeMsg),
 		stopped:  make(chan Stop),
 		durPlain: cfg.Model.Duration(cfg.CyclesPerBlock),
@@ -221,21 +221,44 @@ func (c *Core) TotalCycles() uint64 { return c.totalCycles }
 // SetBreakpoint arms a hardware breakpoint; it fails when the debug unit's
 // comparators are exhausted.
 func (c *Core) SetBreakpoint(addr uint64) error {
-	if _, ok := c.bps[addr]; ok {
+	i, ok := slices.BinarySearch(c.bps, addr)
+	if ok {
 		return nil
 	}
 	if len(c.bps) >= c.cfg.MaxBreakpoints {
 		return fmt.Errorf("cpu: all %d hardware breakpoints in use", c.cfg.MaxBreakpoints)
 	}
-	c.bps[addr] = struct{}{}
+	c.bps = slices.Insert(c.bps, i, addr)
+	c.rebuildFilter()
 	return nil
 }
 
 // ClearBreakpoint disarms a breakpoint (no-op when absent).
-func (c *Core) ClearBreakpoint(addr uint64) { delete(c.bps, addr) }
+func (c *Core) ClearBreakpoint(addr uint64) {
+	if i, ok := slices.BinarySearch(c.bps, addr); ok {
+		c.bps = slices.Delete(c.bps, i, i+1)
+		c.rebuildFilter()
+	}
+}
 
 // ClearAllBreakpoints removes every breakpoint (debugger detach).
-func (c *Core) ClearAllBreakpoints() { c.bps = make(map[uint64]struct{}) }
+func (c *Core) ClearAllBreakpoints() {
+	c.bps = c.bps[:0]
+	c.rebuildFilter()
+}
+
+// bpBit maps an address to one bit of the breakpoint filter. Step tests the
+// filter before scanning the armed addresses, so almost every block is ruled
+// out with one AND; the Fibonacci hash spreads aligned block addresses over
+// all 64 bits.
+func bpBit(addr uint64) uint64 { return 1 << ((addr * 0x9E3779B97F4A7C15) >> 58) }
+
+func (c *Core) rebuildFilter() {
+	c.bpFilter = 0
+	for _, a := range c.bps {
+		c.bpFilter |= bpBit(a)
+	}
+}
 
 // BreakpointCount returns the number of armed breakpoints.
 func (c *Core) BreakpointCount() int { return len(c.bps) }
@@ -243,11 +266,8 @@ func (c *Core) BreakpointCount() int { return len(c.bps) }
 // Breakpoints returns the armed breakpoint addresses in ascending order, so
 // a snapshot can record and later re-arm the comparator bank.
 func (c *Core) Breakpoints() []uint64 {
-	out := make([]uint64, 0, len(c.bps))
-	for a := range c.bps {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := make([]uint64, len(c.bps))
+	copy(out, c.bps)
 	return out
 }
 
@@ -344,7 +364,7 @@ func (c *Core) Step(addr uint64) {
 			c.pc = saved
 		}
 	}
-	if _, hit := c.bps[addr]; hit {
+	if c.bpFilter&bpBit(addr) != 0 && slices.Contains(c.bps, addr) {
 		c.park(Stop{Kind: StopBreakpoint, PC: addr})
 		return
 	}

@@ -1,6 +1,9 @@
 package cpu
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/eof-fuzz/eof/internal/vtime"
@@ -226,5 +229,101 @@ func TestStopKindStrings(t *testing.T) {
 		if k.String() == "" {
 			t.Fatal("empty fault name")
 		}
+	}
+}
+
+// TestBreakpointFilterExact runs Set/Clear/ClearAll sequences over a loop of
+// block addresses, two of which share a filter bit, and checks that the core
+// stops at exactly the armed addresses, in loop order, and never at a
+// cleared one.
+func TestBreakpointFilterExact(t *testing.T) {
+	const base = 0x0800_1000
+	twin := uint64(base + 4)
+	for bpBit(twin) != bpBit(base) {
+		twin += 4
+	}
+	loop := []uint64{base, twin}
+	for a := uint64(base + 2); len(loop) < 12; a += 4 {
+		loop = append(loop, a)
+	}
+	_, c := newCore()
+	c.Start(linearFirmware(c, loop))
+	defer c.Kill()
+
+	armed := map[uint64]bool{}
+	next := 0 // index in loop of the block the core steps next
+	check := func(step string) {
+		t.Helper()
+		var want []uint64
+		for a := range armed {
+			want = append(want, a)
+		}
+		slices.Sort(want)
+		if got := c.Breakpoints(); !slices.Equal(got, want) || c.BreakpointCount() != len(want) {
+			t.Fatalf("%s: breakpoints %#x (count %d), want %#x", step, got, c.BreakpointCount(), want)
+		}
+		for round := 0; round < 3; round++ {
+			if len(armed) == 0 {
+				st := c.Continue(int64(len(loop)))
+				next = (next + len(loop)) % len(loop)
+				if want := loop[(next+len(loop)-1)%len(loop)]; st.Kind != StopBudget || st.PC != want {
+					t.Fatalf("%s: stop %+v, want budget at %#x", step, st, want)
+				}
+				continue
+			}
+			want := next
+			for !armed[loop[want]] {
+				want = (want + 1) % len(loop)
+			}
+			// The budget covers one lap, so a missed breakpoint ends in a
+			// budget stop instead of running forever.
+			st := c.Continue(int64(len(loop)))
+			if st.Kind != StopBreakpoint || st.PC != loop[want] {
+				t.Fatalf("%s: stop %+v, want breakpoint at %#x (armed %v)", step, st, loop[want], armed)
+			}
+			next = (want + 1) % len(loop)
+		}
+	}
+	set := func(a uint64) {
+		t.Helper()
+		if err := c.SetBreakpoint(a); err != nil {
+			t.Fatal(err)
+		}
+		armed[a] = true
+	}
+	clearBP := func(a uint64) {
+		c.ClearBreakpoint(a)
+		delete(armed, a)
+	}
+
+	// The twin shares base's filter bit, so only the scan of the armed
+	// addresses behind the filter can tell them apart.
+	set(base)
+	check("base armed")
+	set(twin)
+	check("base and twin armed")
+	clearBP(base)
+	check("base cleared, twin armed")
+	clearBP(twin)
+	check("both cleared")
+	set(twin)
+	set(loop[5])
+	c.ClearAllBreakpoints()
+	clear(armed)
+	check("cleared all")
+
+	rnd := rand.New(rand.NewSource(1))
+	for i := 0; i < 300; i++ {
+		a := loop[rnd.Intn(len(loop))]
+		switch r := rnd.Intn(10); {
+		case r == 0:
+			c.ClearAllBreakpoints()
+			clear(armed)
+		case r < 5:
+			clearBP(a)
+		case len(armed) < c.MaxBreakpoints():
+			set(a)
+		}
+		check(fmt.Sprintf("op %d", i))
 	}
 }

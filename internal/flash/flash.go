@@ -6,6 +6,7 @@
 package flash
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"strconv"
@@ -41,10 +42,20 @@ func NewDevice(size, sectorSize int) *Device {
 		eraseCount: make([]int, size/sectorSize),
 		dirty:      make([]bool, size/sectorSize),
 	}
-	for i := range d.data {
-		d.data[i] = Erased
-	}
+	fillErased(d.data)
 	return d
+}
+
+// fillErased sets every byte of b to Erased, doubling the filled prefix with
+// copy instead of storing one byte at a time.
+func fillErased(b []byte) {
+	if len(b) == 0 {
+		return
+	}
+	b[0] = Erased
+	for n := 1; n < len(b); n *= 2 {
+		copy(b[n:], b[:n])
+	}
 }
 
 // Size returns the device capacity in bytes.
@@ -68,9 +79,7 @@ func (d *Device) Erase(i int) error {
 		return fmt.Errorf("flash: erase of sector %d outside device (%d sectors)", i, d.Sectors())
 	}
 	base := i * d.sectorSize
-	for j := base; j < base+d.sectorSize; j++ {
-		d.data[j] = Erased
-	}
+	fillErased(d.data[base : base+d.sectorSize])
 	d.eraseCount[i]++
 	d.dirty[i] = true
 	return nil
@@ -98,8 +107,14 @@ func (d *Device) Program(off int, data []byte) error {
 	if off < 0 || off > len(d.data)-len(data) {
 		return fmt.Errorf("flash: program [%#x,%#x) outside device", off, off+len(data))
 	}
-	for i, b := range data {
-		d.data[off+i] &= b
+	dst := d.data[off : off+len(data)]
+	i := 0
+	for ; i+8 <= len(data); i += 8 {
+		w := binary.LittleEndian.Uint64(dst[i:]) & binary.LittleEndian.Uint64(data[i:])
+		binary.LittleEndian.PutUint64(dst[i:], w)
+	}
+	for ; i < len(data); i++ {
+		dst[i] &= data[i]
 	}
 	if len(data) > 0 {
 		d.markDirty(off, len(data))
@@ -109,12 +124,23 @@ func (d *Device) Program(off int, data []byte) error {
 
 // Read copies n bytes starting at off.
 func (d *Device) Read(off, n int) ([]byte, error) {
+	v, err := d.View(off, n)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, n)
+	copy(out, v)
+	return out, nil
+}
+
+// View returns the n bytes starting at off in place, without copying. The
+// slice aliases the device: it is only valid until the next erase, program
+// or corrupting write, and callers must not modify it.
+func (d *Device) View(off, n int) ([]byte, error) {
 	if off < 0 || n < 0 || off > len(d.data)-n {
 		return nil, fmt.Errorf("flash: read [%#x,%#x) outside device", off, off+n)
 	}
-	out := make([]byte, n)
-	copy(out, d.data[off:off+n])
-	return out, nil
+	return d.data[off : off+n], nil
 }
 
 // WriteImage erases the covering sectors and programs data at off; this is

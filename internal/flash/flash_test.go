@@ -2,6 +2,7 @@ package flash
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -221,5 +222,97 @@ func TestCorrupt(t *testing.T) {
 	raw, _ := d.Read(0, len(img))
 	if _, err := ParseImage(raw); err == nil {
 		t.Fatal("CRC did not catch corruption")
+	}
+}
+
+// refDevice is a byte-at-a-time model of Device: the reference the word-wide
+// Program and the copy-doubling Erase are checked against.
+type refDevice struct {
+	sector int
+	data   []byte
+	erases []int
+	dirty  []bool
+}
+
+func newRefDevice(size, sector int) *refDevice {
+	r := &refDevice{sector: sector, data: make([]byte, size),
+		erases: make([]int, size/sector), dirty: make([]bool, size/sector)}
+	for i := range r.data {
+		r.data[i] = Erased
+	}
+	return r
+}
+
+func (r *refDevice) erase(s int) {
+	for j := s * r.sector; j < (s+1)*r.sector; j++ {
+		r.data[j] = Erased
+	}
+	r.erases[s]++
+	r.dirty[s] = true
+}
+
+func (r *refDevice) eraseRange(off, n int) {
+	for j := off; j < off+n; j++ {
+		if j == off || j%r.sector == 0 {
+			r.erase(j / r.sector)
+		}
+	}
+}
+
+func (r *refDevice) program(off int, data []byte) {
+	for i, b := range data {
+		r.data[off+i] &= b
+		r.dirty[(off+i)/r.sector] = true
+	}
+}
+
+// TestWordOpsMatchByteReference drives Program, Erase and EraseRange with
+// random offsets and lengths (unaligned heads and tails, unaligned sources,
+// multi-sector spans) and checks bytes, erase counts and dirty sectors
+// against the byte-at-a-time reference after every operation.
+func TestWordOpsMatchByteReference(t *testing.T) {
+	rnd := rand.New(rand.NewSource(1))
+	for _, geo := range []struct{ size, sector int }{{1024, 64}, {210, 30}, {4096, 4096}} {
+		d, ref := NewDevice(geo.size, geo.sector), newRefDevice(geo.size, geo.sector)
+		src := make([]byte, geo.size+8)
+		for op := 0; op < 3000; op++ {
+			off := rnd.Intn(geo.size)
+			n := rnd.Intn(geo.size - off + 1)
+			if rnd.Intn(2) == 0 {
+				n = min(n, rnd.Intn(3*geo.sector+1))
+			}
+			var err error
+			switch rnd.Intn(4) {
+			case 0, 1:
+				rnd.Read(src)
+				skew := rnd.Intn(8)
+				data := src[skew : skew+n]
+				err = d.Program(off, data)
+				ref.program(off, data)
+			case 2:
+				s := rnd.Intn(d.Sectors())
+				err = d.Erase(s)
+				ref.erase(s)
+			case 3:
+				err = d.EraseRange(off, n)
+				ref.eraseRange(off, n)
+			}
+			if err != nil {
+				t.Fatalf("geometry %v op %d: %v", geo, op, err)
+			}
+			if !bytes.Equal(d.Bytes(), ref.data) {
+				t.Fatalf("geometry %v op %d (off %d, n %d): bytes diverge from the reference", geo, op, off, n)
+			}
+			for s := 0; s < d.Sectors(); s++ {
+				if d.EraseCount(s) != ref.erases[s] || d.Dirty(s) != ref.dirty[s] {
+					t.Fatalf("geometry %v op %d: sector %d erases %d dirty %v, reference %d %v",
+						geo, op, s, d.EraseCount(s), d.Dirty(s), ref.erases[s], ref.dirty[s])
+				}
+			}
+			if rnd.Intn(50) == 0 {
+				d.ClearDirty()
+				clear(ref.dirty)
+			}
+		}
 	}
 }

@@ -41,10 +41,13 @@ type Client struct {
 }
 
 // ConnectDirect attaches a client that dispatches commands into the server
-// in-process, bypassing the packet pipe (and its goroutine handoffs) while
-// still exercising the full command grammar and latency model. Campaign
-// engines use it; the framed transport stays covered by Connect and the
-// protocol tests.
+// in-process, with no RSP framing and no packet pipe (or its goroutine
+// handoffs). The latency model charges every command exactly as on the wire.
+// FlashWrite does not exercise the vFlashWrite grammar: it hands raw bytes to
+// the server's flash executor and is charged the length of the request it
+// replaces. The other commands go through the grammar. Campaign engines use
+// this client; the framed transport stays covered by Connect and the protocol
+// tests.
 func ConnectDirect(srv *Server) *Client {
 	return &Client{direct: srv}
 }
@@ -96,6 +99,11 @@ func (c *Client) call(req string) (string, error) {
 		}
 		s = string(resp)
 	}
+	return reply(s)
+}
+
+// reply returns a server reply, or the error it encodes.
+func reply(s string) (string, error) {
 	if strings.HasPrefix(s, "E") {
 		return "", decodeError(s[1:])
 	}
@@ -193,14 +201,18 @@ func (c *Client) FlashErase(off, n int) error {
 const flashChunk = 16 * 1024
 
 // FlashWrite programs data at flash offset off (erase first), chunking the
-// transfer to fit the adapter's packet limit.
+// transfer to fit the adapter's packet limit. An in-process client skips the
+// hex round trip: each chunk's raw bytes go straight to the server's flash
+// executor, which charges the vFlashWrite request the chunk would have been.
 func (c *Client) FlashWrite(off int, data []byte) error {
 	for start := 0; start < len(data); start += flashChunk {
-		end := start + flashChunk
-		if end > len(data) {
-			end = len(data)
+		chunk := data[start:min(start+flashChunk, len(data))]
+		var err error
+		if c.direct != nil {
+			_, err = reply(c.direct.flashWriteRaw(off+start, chunk))
+		} else {
+			_, err = c.call(fmt.Sprintf("vFlashWrite:%x:%s", off+start, hex.EncodeToString(chunk)))
 		}
-		_, err := c.call(fmt.Sprintf("vFlashWrite:%x:%s", off+start, hex.EncodeToString(data[start:end])))
 		if err != nil {
 			return err
 		}

@@ -304,7 +304,26 @@ func (s *Server) flashWrite(args string) string {
 	if err != nil {
 		return ereply(CodeBadArgs)
 	}
-	if err := s.Board.FlashProgram(int(off), data); err != nil {
+	return s.flashProgram(int(off), data)
+}
+
+// flashWriteRaw serves one vFlashWrite chunk handed over in-process as raw
+// bytes. It charges the length of the request it replaces,
+// vFlashWrite:<off %x>:<2n hex chars>, and answers as the wire parser would:
+// a negative offset, which does not parse as hex, earns a bare Ebadargs.
+func (s *Server) flashWriteRaw(off int, data []byte) string {
+	var digits [24]byte
+	s.charge(len("vFlashWrite:") + len(strconv.AppendInt(digits[:0], int64(off), 16)) + 1 + 2*len(data))
+	if off < 0 {
+		return ereply(CodeBadArgs)
+	}
+	return s.flashProgram(off, data)
+}
+
+// flashProgram is the flash-program executor behind vFlashWrite, shared by
+// the wire parser and in-process clients.
+func (s *Server) flashProgram(off int, data []byte) string {
+	if err := s.Board.FlashProgram(off, data); err != nil {
 		if errors.Is(err, board.ErrDead) {
 			return ereplyMsg(CodeDead, err.Error())
 		}

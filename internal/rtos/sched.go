@@ -175,15 +175,20 @@ func (s *Scheduler) pick() *Task {
 	f.Enter()
 	defer f.Exit()
 	var best *Task
-	n := len(s.tasks)
-	for i := 0; i < n; i++ {
-		t := s.tasks[(s.rrCursor+i)%n]
-		if t.State != TaskReady && t.State != TaskRunning {
-			continue
-		}
-		if best == nil || t.Prio < best.Prio {
-			f.B(1)
-			best = t
+	start := 0
+	if n := len(s.tasks); n > 0 {
+		start = s.rrCursor % n
+	}
+	// The round-robin rotation: tasks from the cursor on, then wrap around.
+	for _, run := range [2][]*Task{s.tasks[start:], s.tasks[:start]} {
+		for _, t := range run {
+			if t.State != TaskReady && t.State != TaskRunning {
+				continue
+			}
+			if best == nil || t.Prio < best.Prio {
+				f.B(1)
+				best = t
+			}
 		}
 	}
 	s.rrCursor++

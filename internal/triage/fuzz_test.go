@@ -3,6 +3,7 @@ package triage
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 )
 
@@ -45,13 +46,22 @@ func FuzzParseRepro(f *testing.F) {
 		if r2.OS != r.OS || r2.Board != r.Board || r2.Cluster != r.Cluster || r2.Sig != r.Sig {
 			t.Fatalf("identity changed across re-encode:\n%+v\n%+v", r, r2)
 		}
-		// MarshalIndent re-indents the embedded program, so compare it
-		// compacted.
-		var pa, pb bytes.Buffer
-		if json.Compact(&pa, r.Prog) == nil && json.Compact(&pb, r2.Prog) == nil {
-			if pa.String() != pb.String() {
-				t.Fatalf("program changed across re-encode: %s -> %s", pa.String(), pb.String())
-			}
+		// Encode re-indents the embedded program and HTML-escapes &, < and
+		// >, so compare the decoded values, not the bytes.
+		if pa, pb := decodeValue(t, r.Prog), decodeValue(t, r2.Prog); !reflect.DeepEqual(pa, pb) {
+			t.Fatalf("program changed across re-encode: %s -> %s", r.Prog, r2.Prog)
 		}
 	})
+}
+
+// decodeValue decodes one JSON value, keeping numbers as their literal text.
+func decodeValue(t *testing.T, raw []byte) any {
+	t.Helper()
+	d := json.NewDecoder(bytes.NewReader(raw))
+	d.UseNumber()
+	var v any
+	if err := d.Decode(&v); err != nil {
+		t.Fatalf("program %s does not decode: %v", raw, err)
+	}
+	return v
 }
