@@ -17,7 +17,8 @@ race:
 # check is the CI gate: static analysis plus the race-enabled test suite.
 check: vet race
 
-# fuzz-smoke runs each native fuzz target briefly (the CI fuzz gate).
+# fuzz-smoke runs each native fuzz target for 10 s (the CI fuzz gate); this
+# is the one list of targets.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzRecv -fuzztime=10s -run='^$$' ./internal/rsp/
 	$(GO) test -fuzz=FuzzRoundTrip -fuzztime=10s -run='^$$' ./internal/rsp/
@@ -27,6 +28,9 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzServerHandle -fuzztime=10s -run='^$$' ./internal/ocd/
 	$(GO) test -fuzz=FuzzRead -fuzztime=10s -run='^$$' ./internal/journal/
 	$(GO) test -fuzz=FuzzDecodeSpec -fuzztime=10s -run='^$$' ./internal/server/
+	$(GO) test -fuzz=FuzzUnmarshal -fuzztime=10s -run='^$$' ./internal/wire/
+	$(GO) test -fuzz=FuzzDecode -fuzztime=10s -run='^$$' ./internal/fsb/
+	$(GO) test -fuzz=FuzzDecode -fuzztime=10s -run='^$$' ./internal/cov/
 
 # resume-smoke kills a persisted campaign with SIGKILL, verifies the durable
 # store, resumes it and asserts coverage is a superset (the CI crash-safety

@@ -76,7 +76,7 @@ func New(env *board.Env, target Target) *Agent {
 		fnBufFull: k.Fn(SymKcmpBufFull, "agent/cov.c", 44, 1),
 	}
 	if env.Cov != nil {
-		env.Core.SetCovHook(env.Cov.TracePC, a.fnBufFull.Addr())
+		env.Core.SetCovHook(env.Cov, a.fnBufFull.Addr())
 	}
 	return a
 }

@@ -159,8 +159,14 @@ type Core struct {
 	bps       []uint64 // armed breakpoint addresses, ascending
 	bpFilter  uint64   // bpBit of every armed address, rebuilt when bps changes
 	instrOn   bool
-	covHook   func(pc uint64) (bufFull bool)
+	covHook   CovHook
 	covTrapPC uint64
+
+	// What Step charges and calls per block, fixed by SetInstrumented and
+	// SetCovHook: stepHook is covHook when instrumentation is on, else nil.
+	stepCycles uint64
+	stepDur    time.Duration
+	stepHook   CovHook
 
 	resume  chan resumeMsg
 	stopped chan Stop
@@ -168,9 +174,9 @@ type Core struct {
 	started bool
 	dead    bool
 
-	// Cached per-block time costs (divisions are too hot for Step).
+	// Cached uninstrumented per-block time that Idle charges (a division
+	// per call is too hot).
 	durPlain time.Duration
-	durInstr time.Duration
 
 	totalBlocks uint64
 	totalCycles uint64
@@ -184,19 +190,39 @@ func New(clock *vtime.Clock, cfg Config) *Core {
 	if cfg.CyclesPerBlock == 0 {
 		cfg.CyclesPerBlock = 6
 	}
-	return &Core{
+	c := &Core{
 		cfg:      cfg,
 		clock:    clock,
 		resume:   make(chan resumeMsg),
 		stopped:  make(chan Stop),
 		durPlain: cfg.Model.Duration(cfg.CyclesPerBlock),
-		durInstr: cfg.Model.Duration(cfg.CyclesPerBlock + cfg.InstrCycles),
 	}
+	c.retune()
+	return c
+}
+
+// CovHook is the coverage runtime's per-block callback. TracePC returns true
+// when the buffer just filled and the core should trap to the host.
+type CovHook interface {
+	TracePC(pc uint64) (bufFull bool)
 }
 
 // SetInstrumented switches the per-block instrumentation cost and coverage
 // hook on or off (set at boot from the image header).
-func (c *Core) SetInstrumented(on bool) { c.instrOn = on }
+func (c *Core) SetInstrumented(on bool) {
+	c.instrOn = on
+	c.retune()
+}
+
+// retune fixes what Step charges and calls per block.
+func (c *Core) retune() {
+	c.stepCycles, c.stepHook = c.cfg.CyclesPerBlock, nil
+	if c.instrOn {
+		c.stepCycles += c.cfg.InstrCycles
+		c.stepHook = c.covHook
+	}
+	c.stepDur = c.cfg.Model.Duration(c.stepCycles)
+}
 
 // Instrumented reports whether instrumentation is active.
 func (c *Core) Instrumented() bool { return c.instrOn }
@@ -204,9 +230,10 @@ func (c *Core) Instrumented() bool { return c.instrOn }
 // SetCovHook installs the coverage runtime callback; trapPC is the address
 // reported when the hook requests a buffer-full trap (the agent's
 // _kcmp_buf_full symbol).
-func (c *Core) SetCovHook(hook func(pc uint64) bool, trapPC uint64) {
+func (c *Core) SetCovHook(hook CovHook, trapPC uint64) {
 	c.covHook = hook
 	c.covTrapPC = trapPC
+	c.retune()
 }
 
 // PC returns the program counter as of the last stop.
@@ -347,22 +374,14 @@ func (c *Core) park(st Stop) {
 // instrumented kernel code on the target goroutine.
 func (c *Core) Step(addr uint64) {
 	c.pc = addr
-	if c.instrOn {
-		c.totalCycles += c.cfg.CyclesPerBlock + c.cfg.InstrCycles
-		c.clock.Advance(c.durInstr)
-	} else {
-		c.totalCycles += c.cfg.CyclesPerBlock
-		c.clock.Advance(c.durPlain)
-	}
+	c.totalCycles += c.stepCycles
+	c.clock.Advance(c.stepDur)
 	c.totalBlocks++
 
-	if c.instrOn && c.covHook != nil {
-		if full := c.covHook(addr); full {
-			saved := c.pc
-			c.pc = c.covTrapPC
-			c.park(Stop{Kind: StopCovFull, PC: c.covTrapPC})
-			c.pc = saved
-		}
+	if c.stepHook != nil && c.stepHook.TracePC(addr) {
+		c.pc = c.covTrapPC
+		c.park(Stop{Kind: StopCovFull, PC: c.covTrapPC})
+		c.pc = addr
 	}
 	if c.bpFilter&bpBit(addr) != 0 && slices.Contains(c.bps, addr) {
 		c.park(Stop{Kind: StopBreakpoint, PC: addr})

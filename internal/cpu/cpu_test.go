@@ -140,15 +140,20 @@ func TestClockAdvancesWithSteps(t *testing.T) {
 	c.Kill()
 }
 
+// hookFunc adapts a function to CovHook.
+type hookFunc func(pc uint64) bool
+
+func (f hookFunc) TracePC(pc uint64) bool { return f(pc) }
+
 func TestInstrumentationCostAndCovHook(t *testing.T) {
 	clock, c := newCore()
 	c.SetInstrumented(true)
 	var hits int
 	full := false
-	c.SetCovHook(func(pc uint64) bool {
+	c.SetCovHook(hookFunc(func(pc uint64) bool {
 		hits++
 		return full
-	}, 0xFFF0)
+	}), 0xFFF0)
 	c.Start(linearFirmware(c, []uint64{0x800}))
 	c.Continue(100)
 	if hits != 100 {

@@ -18,7 +18,13 @@ const Magic = 0xFA17B10C
 // MaxBytes is the encoded size cap; it must fit board.FSBSize.
 const MaxBytes = 704
 
-const maxFrames = 8
+// Encode's truncation limits: message bytes, frames, and bytes per frame
+// file or function name.
+const (
+	maxMsg    = 160
+	maxFrames = 8
+	maxStr    = 24
+)
 
 // Encode renders the fault into buf (which must be at least MaxBytes long)
 // and returns the encoded length. Long messages and deep backtraces are
@@ -28,15 +34,14 @@ func Encode(f *cpu.Fault, buf []byte) int {
 		panic(fmt.Sprintf("fsb: buffer %d smaller than %d", len(buf), MaxBytes))
 	}
 	msg := f.Msg
-	if len(msg) > 160 {
-		msg = msg[:160]
+	if len(msg) > maxMsg {
+		msg = msg[:maxMsg]
 	}
 	frames := f.Frames
 	if len(frames) > maxFrames {
 		frames = frames[:maxFrames]
 	}
 	// Worst case: 18 + 160 + 1 + 8*(1+24+1+24+4) = 611 <= MaxBytes.
-	const maxStr = 24
 	binary.LittleEndian.PutUint32(buf[0:], Magic)
 	binary.LittleEndian.PutUint32(buf[4:], uint32(f.Kind))
 	binary.LittleEndian.PutUint64(buf[8:], f.PC)

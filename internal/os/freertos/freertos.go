@@ -13,6 +13,7 @@ import (
 	"github.com/eof-fuzz/eof/internal/app/jsonlib"
 	"github.com/eof-fuzz/eof/internal/board"
 	"github.com/eof-fuzz/eof/internal/cpu"
+	"github.com/eof-fuzz/eof/internal/os/apiutil"
 	"github.com/eof-fuzz/eof/internal/osinfo"
 	"github.com/eof-fuzz/eof/internal/rtos"
 )
@@ -61,8 +62,7 @@ type OS struct {
 	fnUART  *rtos.Fn
 
 	partsLoaded map[int]bool
-	table       []agent.API
-	lineCursor  int
+	reg         *apiutil.Registrar
 }
 
 // Info returns the host-visible build description.
@@ -129,10 +129,10 @@ func Build(env *board.Env) (board.Firmware, error) {
 	o.periphs = append(o.periphs, k.NewPeriph("adc", "xAdcConfig", "xAdcRead", "drivers/adc_stm32.c"))
 	o.periphs = append(o.periphs, k.NewPeriph("can", "xCanConfig", "xCanRead", "drivers/can_stm32.c"))
 	o.buildTable()
-	if len(o.table) != len(apiOrder) {
-		return nil, fmt.Errorf("freertos: API table drift: %d registered, %d declared", len(o.table), len(apiOrder))
+	if len(o.reg.Table) != len(apiOrder) {
+		return nil, fmt.Errorf("freertos: API table drift: %d registered, %d declared", len(o.reg.Table), len(apiOrder))
 	}
-	for i, e := range o.table {
+	for i, e := range o.reg.Table {
 		if e.Name != apiOrder[i] {
 			return nil, fmt.Errorf("freertos: API order drift at %d: %s != %s", i, e.Name, apiOrder[i])
 		}
@@ -157,7 +157,7 @@ func (o *OS) Name() string { return Name }
 func (o *OS) Kernel() *rtos.Kernel { return o.k }
 
 // APIs implements agent.Target.
-func (o *OS) APIs() []agent.API { return o.table }
+func (o *OS) APIs() []agent.API { return o.reg.Table }
 
 // apiNames is the canonical dispatch order; Info().APINames and the agent
 // table are both derived from the buildTable registration sequence, so they
@@ -212,32 +212,14 @@ var apiOrder = []string{
 	"xCanRead",
 }
 
-// reg registers one API wrapper with its own instrumented function. When the
-// API name collides with an internal symbol (the wrapper for pvPortMalloc
-// cannot share the allocator's own symbol), the wrapper symbol gets an _api
-// suffix; the API name stays canonical for specifications.
-func (o *OS) reg(name string, nblocks int, h func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno)) {
-	o.lineCursor += 40
-	symName := name
-	if o.k.Env.Syms.Lookup(symName) != nil {
-		symName += "_api"
-	}
-	f := o.k.Fn(symName, "api/freertos_api.c", o.lineCursor, nblocks)
-	o.table = append(o.table, agent.API{
-		Name: name,
-		Handler: func(args []uint64) (uint64, rtos.Errno) {
-			f.Enter()
-			defer f.Exit()
-			return h(f, args)
-		},
-	})
-}
-
 func (o *OS) buildTable() {
 	k := o.k
+	o.reg = &apiutil.Registrar{K: k, File: "api/freertos_api.c"}
+	r := o.reg
+	arg := apiutil.Arg
 
-	o.reg("xTaskCreate", 8, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
-		name := o.blobString(arg(a, 0), 16, "task")
+	r.Reg("xTaskCreate", 8, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
+		name := apiutil.CString(k, arg(a, 0), 16, "task")
 		prio := int(uint32(arg(a, 1)))
 		stack := int(uint32(arg(a, 2)))
 		behavior := int(arg(a, 3))
@@ -260,7 +242,7 @@ func (o *OS) buildTable() {
 		return uint64(obj.ID), rtos.OK
 	})
 
-	o.reg("vTaskDelete", 6, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
+	r.Reg("vTaskDelete", 6, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
 		obj, e := k.Objects.GetTyped(uint32(arg(a, 0)), rtos.ObjTask)
 		if e.Failed() {
 			f.B(1)
@@ -275,7 +257,7 @@ func (o *OS) buildTable() {
 		return 0, k.Objects.Delete(obj.ID)
 	})
 
-	o.reg("vTaskDelay", 4, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
+	r.Reg("vTaskDelay", 4, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
 		ticks := uint32(arg(a, 0))
 		if ticks == 0 {
 			f.B(1)
@@ -290,7 +272,7 @@ func (o *OS) buildTable() {
 		return 0, rtos.OK
 	})
 
-	o.reg("vTaskPrioritySet", 6, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
+	r.Reg("vTaskPrioritySet", 6, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
 		obj, e := k.Objects.GetTyped(uint32(arg(a, 0)), rtos.ObjTask)
 		if e.Failed() {
 			f.B(1)
@@ -311,7 +293,7 @@ func (o *OS) buildTable() {
 		return 0, rtos.OK
 	})
 
-	o.reg("vTaskSuspend", 4, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
+	r.Reg("vTaskSuspend", 4, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
 		obj, e := k.Objects.GetTyped(uint32(arg(a, 0)), rtos.ObjTask)
 		if e.Failed() {
 			f.B(1)
@@ -327,7 +309,7 @@ func (o *OS) buildTable() {
 		return 0, rtos.OK
 	})
 
-	o.reg("vTaskResume", 4, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
+	r.Reg("vTaskResume", 4, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
 		obj, e := k.Objects.GetTyped(uint32(arg(a, 0)), rtos.ObjTask)
 		if e.Failed() {
 			f.B(1)
@@ -343,12 +325,12 @@ func (o *OS) buildTable() {
 		return 0, rtos.OK
 	})
 
-	o.reg("uxTaskGetNumberOfTasks", 2, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
+	r.Reg("uxTaskGetNumberOfTasks", 2, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
 		f.B(1)
 		return uint64(k.Sched.TaskCount()), rtos.OK
 	})
 
-	o.reg("xQueueCreate", 5, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
+	r.Reg("xQueueCreate", 5, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
 		depth := int(uint32(arg(a, 0)))
 		item := int(uint32(arg(a, 1)))
 		obj, e := k.NewQueue("queue", item, depth)
@@ -360,7 +342,7 @@ func (o *OS) buildTable() {
 		return uint64(obj.ID), rtos.OK
 	})
 
-	o.reg("xQueueSend", 7, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
+	r.Reg("xQueueSend", 7, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
 		obj, e := k.Objects.GetTyped(uint32(arg(a, 0)), rtos.ObjQueue)
 		if e.Failed() {
 			f.B(1)
@@ -383,7 +365,7 @@ func (o *OS) buildTable() {
 		return 1, rtos.OK
 	})
 
-	o.reg("xQueueReceive", 6, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
+	r.Reg("xQueueReceive", 6, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
 		obj, e := k.Objects.GetTyped(uint32(arg(a, 0)), rtos.ObjQueue)
 		if e.Failed() {
 			f.B(1)
@@ -403,7 +385,7 @@ func (o *OS) buildTable() {
 		return v, rtos.OK
 	})
 
-	o.reg("vQueueDelete", 4, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
+	r.Reg("vQueueDelete", 4, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
 		obj, e := k.Objects.GetTyped(uint32(arg(a, 0)), rtos.ObjQueue)
 		if e.Failed() {
 			f.B(1)
@@ -413,7 +395,7 @@ func (o *OS) buildTable() {
 		return 0, obj.Data.(*rtos.Queue).Destroy()
 	})
 
-	o.reg("xSemaphoreCreateBinary", 3, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
+	r.Reg("xSemaphoreCreateBinary", 3, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
 		obj, e := k.NewSemaphore("binsem", 0, 1)
 		if e.Failed() {
 			f.B(1)
@@ -423,7 +405,7 @@ func (o *OS) buildTable() {
 		return uint64(obj.ID), rtos.OK
 	})
 
-	o.reg("xSemaphoreCreateCounting", 4, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
+	r.Reg("xSemaphoreCreateCounting", 4, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
 		max := int(uint32(arg(a, 0)))
 		initial := int(uint32(arg(a, 1)))
 		obj, e := k.NewSemaphore("ctsem", initial, max)
@@ -435,7 +417,7 @@ func (o *OS) buildTable() {
 		return uint64(obj.ID), rtos.OK
 	})
 
-	o.reg("xSemaphoreCreateMutex", 3, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
+	r.Reg("xSemaphoreCreateMutex", 3, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
 		obj, e := k.NewMutex("mutex", false)
 		if e.Failed() {
 			f.B(1)
@@ -447,7 +429,7 @@ func (o *OS) buildTable() {
 
 	// FreeRTOS takes/gives mutexes through the semaphore API, so both object
 	// types are accepted here — an honest quirk of the surface.
-	o.reg("xSemaphoreTake", 8, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
+	r.Reg("xSemaphoreTake", 8, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
 		id := uint32(arg(a, 0))
 		timeout := o.timeout(arg(a, 1))
 		if obj, e := k.Objects.GetTyped(id, rtos.ObjSem); !e.Failed() {
@@ -472,7 +454,7 @@ func (o *OS) buildTable() {
 		return 0, rtos.ErrNotFound
 	})
 
-	o.reg("xSemaphoreGive", 7, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
+	r.Reg("xSemaphoreGive", 7, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
 		id := uint32(arg(a, 0))
 		if obj, e := k.Objects.GetTyped(id, rtos.ObjSem); !e.Failed() {
 			f.B(1)
@@ -495,7 +477,7 @@ func (o *OS) buildTable() {
 		return 0, rtos.ErrNotFound
 	})
 
-	o.reg("xEventGroupCreate", 3, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
+	r.Reg("xEventGroupCreate", 3, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
 		obj, e := k.NewEvent("events")
 		if e.Failed() {
 			f.B(1)
@@ -505,7 +487,7 @@ func (o *OS) buildTable() {
 		return uint64(obj.ID), rtos.OK
 	})
 
-	o.reg("xEventGroupSetBits", 4, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
+	r.Reg("xEventGroupSetBits", 4, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
 		obj, e := k.Objects.GetTyped(uint32(arg(a, 0)), rtos.ObjEvent)
 		if e.Failed() {
 			f.B(1)
@@ -520,7 +502,7 @@ func (o *OS) buildTable() {
 		return uint64(ev.Bits), rtos.OK
 	})
 
-	o.reg("xEventGroupWaitBits", 6, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
+	r.Reg("xEventGroupWaitBits", 6, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
 		obj, e := k.Objects.GetTyped(uint32(arg(a, 0)), rtos.ObjEvent)
 		if e.Failed() {
 			f.B(1)
@@ -545,7 +527,7 @@ func (o *OS) buildTable() {
 		return uint64(got), rtos.OK
 	})
 
-	o.reg("xTimerCreate", 5, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
+	r.Reg("xTimerCreate", 5, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
 		period := arg(a, 0)
 		auto := arg(a, 1) != 0
 		obj, e := k.NewTimer("timer", period, !auto, int(arg(a, 2)))
@@ -557,7 +539,7 @@ func (o *OS) buildTable() {
 		return uint64(obj.ID), rtos.OK
 	})
 
-	o.reg("xTimerStart", 4, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
+	r.Reg("xTimerStart", 4, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
 		obj, e := k.Objects.GetTyped(uint32(arg(a, 0)), rtos.ObjTimer)
 		if e.Failed() {
 			f.B(1)
@@ -567,7 +549,7 @@ func (o *OS) buildTable() {
 		return 1, obj.Data.(*rtos.Timer).Start()
 	})
 
-	o.reg("xTimerStop", 4, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
+	r.Reg("xTimerStop", 4, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
 		obj, e := k.Objects.GetTyped(uint32(arg(a, 0)), rtos.ObjTimer)
 		if e.Failed() {
 			f.B(1)
@@ -577,7 +559,7 @@ func (o *OS) buildTable() {
 		return 1, obj.Data.(*rtos.Timer).Stop()
 	})
 
-	o.reg("pvPortMalloc", 4, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
+	r.Reg("pvPortMalloc", 4, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
 		n := int(uint32(arg(a, 0)))
 		p := k.Heap.Alloc(n)
 		if p == 0 {
@@ -588,21 +570,21 @@ func (o *OS) buildTable() {
 		return p, rtos.OK
 	})
 
-	o.reg("vPortFree", 3, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
+	r.Reg("vPortFree", 3, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
 		f.B(1)
 		return 0, k.Heap.Free(arg(a, 0))
 	})
 
-	o.reg("xPortGetFreeHeapSize", 2, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
+	r.Reg("xPortGetFreeHeapSize", 2, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
 		f.B(1)
 		_, _, free := k.Heap.Stats()
 		return uint64(free), rtos.OK
 	})
 
-	o.reg("load_partitions", 10, o.loadPartitions)
+	r.Reg("load_partitions", 10, o.loadPartitions)
 
-	o.reg("vLoggingPrintf", 3, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
-		msg := o.blobString(arg(a, 0), 128, "")
+	r.Reg("vLoggingPrintf", 3, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
+		msg := apiutil.CString(k, arg(a, 0), 128, "")
 		if msg == "" {
 			f.B(1)
 			return 0, rtos.ErrInval
@@ -612,12 +594,12 @@ func (o *OS) buildTable() {
 		return uint64(len(msg)), rtos.OK
 	})
 
-	o.reg("http_server_init", 3, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
+	r.Reg("http_server_init", 3, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
 		f.B(1)
 		return 0, o.http.Init(int(uint32(arg(a, 0))))
 	})
 
-	o.reg("http_server_handle", 4, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
+	r.Reg("http_server_handle", 4, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
 		req := o.blobBytes(arg(a, 0), int(uint32(arg(a, 1))))
 		status, e := o.http.Handle(req)
 		if e.Failed() {
@@ -628,7 +610,7 @@ func (o *OS) buildTable() {
 		return uint64(status), rtos.OK
 	})
 
-	o.reg("json_parse", 4, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
+	r.Reg("json_parse", 4, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
 		data := o.blobBytes(arg(a, 0), int(uint32(arg(a, 1))))
 		h, e := o.json.Parse(data)
 		if e.Failed() {
@@ -639,7 +621,7 @@ func (o *OS) buildTable() {
 		return uint64(h), rtos.OK
 	})
 
-	o.reg("json_encode", 4, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
+	r.Reg("json_encode", 4, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
 		out, e := o.json.Encode(uint32(arg(a, 0)), uint32(arg(a, 1)))
 		if e.Failed() {
 			f.B(1)
@@ -649,12 +631,12 @@ func (o *OS) buildTable() {
 		return uint64(len(out)), rtos.OK
 	})
 
-	o.reg("json_free", 3, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
+	r.Reg("json_free", 3, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
 		f.B(1)
 		return 0, o.json.Free(uint32(arg(a, 0)))
 	})
 
-	o.reg("xDmaAcquire", 3, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
+	r.Reg("xDmaAcquire", 3, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
 		h, e := o.drv.Open()
 		if e.Failed() {
 			f.B(1)
@@ -664,7 +646,7 @@ func (o *OS) buildTable() {
 		return uint64(h), rtos.OK
 	})
 
-	o.reg("xDmaControl", 4, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
+	r.Reg("xDmaControl", 4, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
 		ret, e := o.drv.Ctl(uint32(arg(a, 0)), uint32(arg(a, 1)), uint32(arg(a, 2)))
 		if e.Failed() {
 			f.B(1)
@@ -674,12 +656,12 @@ func (o *OS) buildTable() {
 		return ret, rtos.OK
 	})
 
-	o.reg("vDmaRelease", 3, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
+	r.Reg("vDmaRelease", 3, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
 		f.B(1)
 		return 0, o.drv.Close(uint32(arg(a, 0)))
 	})
 
-	o.reg("xGpioConfig", 3, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
+	r.Reg("xGpioConfig", 3, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
 		e := o.periphs[0].Config(uint32(arg(a, 0)))
 		if e.Failed() {
 			f.B(1)
@@ -689,7 +671,7 @@ func (o *OS) buildTable() {
 		return 0, rtos.OK
 	})
 
-	o.reg("xGpioRead", 3, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
+	r.Reg("xGpioRead", 3, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
 		v, e := o.periphs[0].Read(uint32(arg(a, 0)))
 		if e.Failed() {
 			f.B(1)
@@ -699,7 +681,7 @@ func (o *OS) buildTable() {
 		return v, rtos.OK
 	})
 
-	o.reg("xAdcConfig", 3, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
+	r.Reg("xAdcConfig", 3, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
 		e := o.periphs[1].Config(uint32(arg(a, 0)))
 		if e.Failed() {
 			f.B(1)
@@ -709,7 +691,7 @@ func (o *OS) buildTable() {
 		return 0, rtos.OK
 	})
 
-	o.reg("xAdcRead", 3, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
+	r.Reg("xAdcRead", 3, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
 		v, e := o.periphs[1].Read(uint32(arg(a, 0)))
 		if e.Failed() {
 			f.B(1)
@@ -719,7 +701,7 @@ func (o *OS) buildTable() {
 		return v, rtos.OK
 	})
 
-	o.reg("xCanConfig", 3, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
+	r.Reg("xCanConfig", 3, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
 		e := o.periphs[2].Config(uint32(arg(a, 0)))
 		if e.Failed() {
 			f.B(1)
@@ -729,7 +711,7 @@ func (o *OS) buildTable() {
 		return 0, rtos.OK
 	})
 
-	o.reg("xCanRead", 3, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
+	r.Reg("xCanRead", 3, func(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
 		v, e := o.periphs[2].Read(uint32(arg(a, 0)))
 		if e.Failed() {
 			f.B(1)
@@ -754,8 +736,8 @@ const (
 // its own verification. The board then fails to reboot until the host
 // reflashes, exercising the full state-restoration path.
 func (o *OS) loadPartitions(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
-	idx := int(uint32(arg(a, 0)))
-	flags := uint32(arg(a, 1))
+	idx := int(uint32(apiutil.Arg(a, 0)))
+	flags := uint32(apiutil.Arg(a, 1))
 	if idx < 0 || idx >= len(staticParts) {
 		f.B(1)
 		return 0, rtos.ErrInval
@@ -794,24 +776,7 @@ func (o *OS) loadPartitions(f *rtos.Fn, a []uint64) (uint64, rtos.Errno) {
 }
 
 // timeout converts a FreeRTOS tick timeout (portMAX_DELAY = forever).
-func (o *OS) timeout(v uint64) int {
-	if uint32(v) == portMaxDelay {
-		return rtos.WaitForever
-	}
-	return int(uint32(v))
-}
-
-// blobString reads a staged string argument (empty fallback when null).
-func (o *OS) blobString(ptr uint64, max int, fallback string) string {
-	if ptr == 0 {
-		return fallback
-	}
-	s := o.k.CString(ptr, max)
-	if s == "" {
-		return fallback
-	}
-	return s
-}
+func (o *OS) timeout(v uint64) int { return apiutil.Timeout32(v, portMaxDelay) }
 
 // blobBytes reads a staged byte-buffer argument; a null or wild pointer
 // faults just like the real dereference would.
@@ -823,11 +788,4 @@ func (o *OS) blobBytes(ptr uint64, n int) []byte {
 		n = 4096
 	}
 	return o.k.ReadRAM(ptr, n)
-}
-
-func arg(a []uint64, i int) uint64 {
-	if i < len(a) {
-		return a[i]
-	}
-	return 0
 }

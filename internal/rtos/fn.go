@@ -1,7 +1,6 @@
 package rtos
 
 import (
-	"github.com/eof-fuzz/eof/internal/cpu"
 	"github.com/eof-fuzz/eof/internal/sym"
 )
 
@@ -12,6 +11,15 @@ import (
 type Fn struct {
 	k  *Kernel
 	SF *sym.Func
+}
+
+// frame is one backtrace entry: the symbol and the pseudo source line its
+// last executed block maps to. Frames compare by symbol pointer, which is
+// symbol identity: a table rejects duplicate names, and two Fns for one
+// symbol (a personality's second memory pool) share its *sym.Func.
+type frame struct {
+	sf   *sym.Func
+	line int
 }
 
 // Fn registers a function with nblocks basic blocks in the image's symbol
@@ -30,11 +38,12 @@ func (f *Fn) Name() string { return f.SF.Name }
 // Enter pushes a backtrace frame and executes the entry block. It returns f
 // so call sites read `defer fn.Enter().Exit()`.
 func (f *Fn) Enter() *Fn {
-	if !f.k.live {
+	k := f.k
+	if k.core == nil {
 		return f
 	}
-	f.k.frames = append(f.k.frames, cpu.Frame{File: f.SF.File, Func: f.SF.Name, Line: f.SF.Line})
-	f.k.Env.Core.Step(f.SF.Block(0))
+	k.frames = append(k.frames, frame{sf: f.SF, line: f.SF.Line})
+	k.core.Step(f.SF.Base)
 	return f
 }
 
@@ -43,7 +52,7 @@ func (f *Fn) Enter() *Fn {
 // unwinding).
 func (f *Fn) Exit() {
 	k := f.k
-	if n := len(k.frames); n > 0 && k.frames[n-1].Func == f.SF.Name {
+	if n := len(k.frames); n > 0 && k.frames[n-1].sf == f.SF {
 		k.frames = k.frames[:n-1]
 	}
 }
@@ -52,13 +61,17 @@ func (f *Fn) Exit() {
 // backtraces point at the matching pseudo source line.
 func (f *Fn) B(i int) {
 	k := f.k
-	if !k.live {
+	if k.core == nil {
 		return
 	}
-	if n := len(k.frames); n > 0 && k.frames[n-1].Func == f.SF.Name {
-		k.frames[n-1].Line = f.SF.Line + i
+	sf := f.SF
+	if uint(i) >= uint(sf.NBlocks) {
+		sf.Block(i) // panics with the range error
 	}
-	k.Env.Core.Step(f.SF.Block(i))
+	if n := len(k.frames); n > 0 && k.frames[n-1].sf == sf {
+		k.frames[n-1].line = sf.Line + i
+	}
+	k.core.Step(sf.Base + uint64(i*sym.BlockStride))
 }
 
 // Bif executes block t when cond holds, otherwise block e; a branch helper

@@ -88,10 +88,11 @@ func (h *Heap) header(off int) (size, prevSize uint32, free bool, ok bool) {
 	if off < 0 || off+heapHeader > len(h.slab) {
 		return 0, 0, false, false
 	}
-	size = binary.LittleEndian.Uint32(h.slab[off:])
-	prevSize = binary.LittleEndian.Uint32(h.slab[off+4:])
-	m := binary.LittleEndian.Uint16(h.slab[off+8:])
-	fl := binary.LittleEndian.Uint16(h.slab[off+10:])
+	b := (*[heapHeader]byte)(h.slab[off:])
+	size = binary.LittleEndian.Uint32(b[0:])
+	prevSize = binary.LittleEndian.Uint32(b[4:])
+	m := binary.LittleEndian.Uint16(b[8:])
+	fl := binary.LittleEndian.Uint16(b[10:])
 	free = fl&1 != 0
 	ok = (free && m == magicFree) || (!free && m == magicAlloc)
 	if size < heapHeader || off+int(size) > len(h.slab) {

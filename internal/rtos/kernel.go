@@ -49,12 +49,12 @@ type Kernel struct {
 	// Ticks counts kernel ticks since boot.
 	Ticks uint64
 
-	frames []cpu.Frame
+	frames []frame // backtrace stack, outermost first
 	hangFn *Fn
 	idleFn *Fn
 	ipc    *ipcFns
 	rng    uint64
-	live   bool
+	core   *cpu.Core // Env.Core once live; nil keeps instrumentation inert
 }
 
 // SetLive arms instrumentation. Kernel code executed during firmware
@@ -62,7 +62,7 @@ type Kernel struct {
 // runtime and CPU exist; its instrumentation hooks stay inert until the
 // agent enters its main loop — the same way SanCov guards are dead until the
 // runtime initialises.
-func (k *Kernel) SetLive() { k.live = true }
+func (k *Kernel) SetLive() { k.core = k.Env.Core }
 
 // NewKernel creates the framework state on a booted environment. The
 // personality then registers its functions, heap and devices.
@@ -91,7 +91,8 @@ func (k *Kernel) Rand() uint64 {
 func (k *Kernel) Frames() []cpu.Frame {
 	out := make([]cpu.Frame, 0, len(k.frames))
 	for i := len(k.frames) - 1; i >= 0; i-- {
-		out = append(out, k.frames[i])
+		fr := k.frames[i]
+		out = append(out, cpu.Frame{File: fr.sf.File, Func: fr.sf.Name, Line: fr.line})
 	}
 	return out
 }
@@ -117,9 +118,9 @@ func (k *Kernel) WriteRAM(addr uint64, data []byte) {
 // cap; it faults on unmapped memory like any stray dereference.
 func (k *Kernel) CString(addr uint64, max int) string {
 	out := make([]byte, 0, 16)
+	var b [1]byte
 	for i := 0; i < max; i++ {
-		b, err := k.Env.Mem.Read(addr+uint64(i), 1)
-		if err != nil {
+		if err := k.Env.Mem.ReadAt(b[:], addr+uint64(i)); err != nil {
 			k.PanicFault(cpu.FaultBus, err.Error())
 		}
 		if b[0] == 0 {
@@ -179,7 +180,7 @@ func (k *Kernel) PanicFault(kind cpu.FaultKind, msg string) {
 	// target. 4. Halt-with-fault visible on the debug link. Both need a
 	// running core; a fault before the kernel goes live (unit tests,
 	// pre-boot code) just unwinds.
-	if k.live {
+	if k.core != nil {
 		if k.ExceptionFn != nil {
 			k.ExceptionFn.Enter()
 			k.ExceptionFn.Exit()
@@ -203,7 +204,8 @@ func (k *Kernel) Assert(cond bool, expr string) {
 func (k *Kernel) AssertFail(expr string) {
 	loc := "??"
 	if n := len(k.frames); n > 0 {
-		loc = fmt.Sprintf("%s:%d (%s)", k.frames[n-1].File, k.frames[n-1].Line, k.frames[n-1].Func)
+		top := k.frames[n-1]
+		loc = fmt.Sprintf("%s:%d (%s)", top.sf.File, top.line, top.sf.Name)
 	}
 	k.Kprintf("ASSERT failed: (%s) at %s\n", expr, loc)
 	k.HangForever("assertion")

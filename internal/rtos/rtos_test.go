@@ -1,6 +1,7 @@
 package rtos
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -13,14 +14,13 @@ import (
 	"github.com/eof-fuzz/eof/internal/vtime"
 )
 
-// testKernel builds a kernel on a synthetic environment whose target
-// goroutine runs fn; the harness drives it to completion.
-func testKernel(t *testing.T, fn func(k *Kernel)) {
-	t.Helper()
+// newTestKernel builds a kernel with a heap on a synthetic environment.
+func newTestKernel() *Kernel {
 	clock := &vtime.Clock{}
 	core := cpu.New(clock, cpu.Config{
 		Model:          vtime.CycleModel{HZ: 100_000_000},
 		CyclesPerBlock: 4,
+		InstrCycles:    2,
 		MaxBreakpoints: 8,
 	})
 	mm := mem.NewMap()
@@ -41,6 +41,14 @@ func testKernel(t *testing.T, fn func(k *Kernel)) {
 	}
 	k := NewKernel(env, "TestOS")
 	k.NewHeap(0x2001_0000, 256*1024, "t_alloc", "t_free", "t_lock", "mem.c")
+	return k
+}
+
+// runKernel runs fn live on k's target goroutine and drives it to
+// completion.
+func runKernel(t testing.TB, k *Kernel, fn func(k *Kernel)) {
+	t.Helper()
+	core := k.Env.Core
 	done := make(chan struct{})
 	core.Start(func() {
 		k.SetLive()
@@ -69,6 +77,13 @@ func testKernel(t *testing.T, fn func(k *Kernel)) {
 			}
 		}
 	}
+}
+
+// testKernel builds a kernel on a synthetic environment whose target
+// goroutine runs fn; the harness drives it to completion.
+func testKernel(t *testing.T, fn func(k *Kernel)) {
+	t.Helper()
+	runKernel(t, newTestKernel(), fn)
 }
 
 func TestHeapAllocFree(t *testing.T) {
@@ -470,6 +485,78 @@ func TestPanicFaultWritesFSBAndBanner(t *testing.T) {
 		}()
 		f.Enter()
 		k.PanicFault(cpu.FaultUsage, "boom")
+	})
+}
+
+func TestBacktraceFrames(t *testing.T) {
+	testKernel(t, func(k *Kernel) {
+		frames := func(want ...cpu.Frame) {
+			t.Helper()
+			if got := k.Frames(); !slices.Equal(got, want) {
+				t.Errorf("frames = %v, want %v", got, want)
+			}
+		}
+		outer := k.Fn("outer_fn", "src/outer.c", 100, 4)
+		mid := k.Fn("mid_fn", "src/mid.c", 200, 4)
+		inner := k.Fn("inner_fn", "src/inner.c", 300, 4)
+		outerAt := func(line int) cpu.Frame { return cpu.Frame{File: "src/outer.c", Func: "outer_fn", Line: line} }
+		midAt := func(line int) cpu.Frame { return cpu.Frame{File: "src/mid.c", Func: "mid_fn", Line: line} }
+
+		outer.Enter()
+		frames(outerAt(100))
+		outer.B(2)
+		mid.Enter()
+		mid.B(3)
+		inner.Enter()
+		inner.B(1)
+		frames(cpu.Frame{File: "src/inner.c", Func: "inner_fn", Line: 301}, midAt(203), outerAt(102))
+		inner.Exit()
+		frames(midAt(203), outerAt(102))
+		// A block or an exit of a function that is not on top leaves the
+		// stack alone.
+		inner.B(2)
+		inner.Exit()
+		frames(midAt(203), outerAt(102))
+		mid.B(1)
+		frames(midAt(201), outerAt(102))
+		mid.Exit()
+		outer.B(3)
+		frames(outerAt(103))
+
+		// The assertion line names the top frame. Leave AssertFail's hang
+		// by panicking out of the console sink.
+		type escaped struct{}
+		var line string
+		k.ConsoleWrite = func(s string) { line = s; panic(escaped{}) }
+		func() {
+			defer func() {
+				if r := recover(); r != (escaped{}) {
+					panic(r)
+				}
+			}()
+			k.AssertFail("x > 0")
+		}()
+		k.ConsoleWrite = nil
+		if want := "ASSERT failed: (x > 0) at src/outer.c:103 (outer_fn)\n"; line != want {
+			t.Errorf("assert line = %q, want %q", line, want)
+		}
+
+		// A second pool's Fns share the first pool's symbols: each updates
+		// and pops the frame the other pushed.
+		o1, _ := k.NewPool("p1", 32, 2, "p_alloc", "p_free", "pool.c")
+		o2, _ := k.NewPool("p2", 32, 2, "p_alloc", "p_free", "pool.c")
+		a1, a2 := o1.Data.(*Pool).fnAlloc, o2.Data.(*Pool).fnAlloc
+		if a1 == a2 || a1.SF != a2.SF {
+			t.Errorf("pools: same Fn %v, same symbol %v", a1 == a2, a1.SF == a2.SF)
+			return
+		}
+		a1.Enter()
+		a2.B(4)
+		frames(cpu.Frame{File: "pool.c", Func: "p_alloc", Line: 94}, outerAt(103))
+		a2.Exit()
+		frames(outerAt(103))
+		outer.Exit()
+		frames()
 	})
 }
 

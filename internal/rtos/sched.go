@@ -1,5 +1,7 @@
 package rtos
 
+import "math"
+
 // TaskState is a task's scheduling state.
 type TaskState uint8
 
@@ -72,6 +74,11 @@ type Scheduler struct {
 
 	ctxSwitches uint64
 	rrCursor    int
+	// minWake is a lower bound on every sleeping task's WakeTick, so a tick
+	// below it has no sleeper to wake and skips the wake scan. Whoever puts
+	// a task to sleep or moves its WakeTick earlier lowers it; each wake
+	// scan recomputes it.
+	minWake uint64
 }
 
 func newScheduler(k *Kernel) *Scheduler {
@@ -151,11 +158,20 @@ func (s *Scheduler) tick() {
 	}
 	f := s.fnTick
 	f.Enter()
-	for _, t := range s.tasks {
-		if t.State == TaskSleeping && t.WakeTick <= s.k.Ticks {
+	if now := s.k.Ticks; now >= s.minWake {
+		next := uint64(math.MaxUint64)
+		for _, t := range s.tasks {
+			if t.State != TaskSleeping {
+				continue
+			}
+			if t.WakeTick > now {
+				next = min(next, t.WakeTick)
+				continue
+			}
 			f.B(1)
 			t.State = TaskReady
 		}
+		s.minWake = next
 	}
 	f.B(2)
 	next := s.pick()
@@ -238,6 +254,7 @@ func (s *Scheduler) runSlice(t *Task) {
 		f.B(1)
 		t.State = TaskSleeping
 		t.WakeTick = s.k.Ticks + 2 + t.counter%5
+		s.minWake = min(s.minWake, t.WakeTick)
 	case 3: // churner: small heap alloc/free churn when a heap exists
 		if h := s.k.Heap; h != nil {
 			f.B(1)

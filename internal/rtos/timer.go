@@ -1,5 +1,7 @@
 package rtos
 
+import "math"
+
 // Timer parameter bounds.
 const (
 	TimerPeriodMin = 1
@@ -24,6 +26,12 @@ type TimerWheel struct {
 	timers []*Timer
 	fnTick *Fn
 	fnCb   *Fn
+	// minNext is a lower bound on every live armed timer's NextFire, so a
+	// tick below it has no timer to fire and skips the scan. Start lowers it
+	// (no callback starts a timer, so none runs inside a scan) and each
+	// completed scan recomputes it; a scan that unwinds part-way leaves it
+	// at or below the tick it ran on.
+	minNext uint64
 }
 
 func newTimerWheel(k *Kernel) *TimerWheel {
@@ -56,6 +64,8 @@ func (t *Timer) Start() Errno {
 	}
 	t.Armed = true
 	t.NextFire = t.k.Ticks + t.Period
+	w := t.k.Timers
+	w.minNext = min(w.minNext, t.NextFire)
 	return OK
 }
 
@@ -75,20 +85,29 @@ func (w *TimerWheel) tick() {
 	}
 	f := w.fnTick
 	f.Enter()
-	for _, t := range w.timers {
-		if !t.Armed || t.NextFire > w.k.Ticks || !t.Obj.Alive {
-			continue
+	if now := w.k.Ticks; now >= w.minNext {
+		next := uint64(math.MaxUint64)
+		for _, t := range w.timers {
+			if !t.Armed || !t.Obj.Alive {
+				continue
+			}
+			if t.NextFire > now {
+				next = min(next, t.NextFire)
+				continue
+			}
+			f.B(1)
+			t.Fires++
+			if t.OneShot {
+				f.B(2)
+				t.Armed = false
+			} else {
+				f.B(3)
+				t.NextFire = now + t.Period
+				next = min(next, t.NextFire)
+			}
+			w.fire(t)
 		}
-		f.B(1)
-		t.Fires++
-		if t.OneShot {
-			f.B(2)
-			t.Armed = false
-		} else {
-			f.B(3)
-			t.NextFire = w.k.Ticks + t.Period
-		}
-		w.fire(t)
+		w.minNext = next
 	}
 	f.Exit()
 }
@@ -106,6 +125,7 @@ func (w *TimerWheel) fire(t *Timer) {
 			if task.State == TaskSleeping {
 				f.B(3)
 				task.WakeTick = w.k.Ticks
+				w.k.Sched.minWake = min(w.k.Sched.minWake, task.WakeTick)
 				break
 			}
 		}
