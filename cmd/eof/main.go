@@ -188,8 +188,9 @@ func main() {
 	}
 	defer func() {
 		if *hold > 0 && c.MetricsAddr() != "" {
-			// The final report is already published into the registry, so a
-			// scraper has this window to collect the authoritative end state.
+			// The live fold has seen every event and its edge total is
+			// pinned to the report, so a scraper has this window to collect
+			// the end state.
 			fmt.Printf("holding telemetry server at %s for %v\n", c.MetricsAddr(), *hold)
 			time.Sleep(*hold)
 		}

@@ -102,12 +102,12 @@ func summary(j *journal.Journal, csvOut bool) {
 		row("edges", s.Edges)
 		row("emul_edges", s.EmEdges)
 		row("restores", s.Restores)
-		row("reflashes", s.Reflash)
+		row("reflashes", s.Reflashes)
 		row("bugs", s.Bugs)
 		row("triaged", s.Triaged)
-		row("link_retries", s.Retries)
-		row("link_reconnects", s.Reconns)
-		row("quarantines", s.Quarant)
+		row("link_retries", s.LinkRetries)
+		row("link_reconnects", s.LinkReconnects)
+		row("quarantines", s.Quarantines)
 		row("checkpoints", s.Checkpoints)
 		row("durable_edges", s.DurableEdges)
 		row("distills", s.Distills)
@@ -144,7 +144,7 @@ func summary(j *journal.Journal, csvOut bool) {
 	if s.Execs > 0 {
 		rate = 100 * float64(s.Restores) / float64(s.Execs)
 	}
-	fmt.Printf("restores: %d (%.1f%%/exec), %d reflashes\n", s.Restores, rate, s.Reflash)
+	fmt.Printf("restores: %d (%.1f%%/exec), %d reflashes\n", s.Restores, rate, s.Reflashes)
 	if len(s.ByReason) > 0 {
 		reasons := make([]string, 0, len(s.ByReason))
 		for r := range s.ByReason {
@@ -158,7 +158,7 @@ func summary(j *journal.Journal, csvOut bool) {
 		fmt.Println()
 	}
 	fmt.Printf("bugs: %d (%d triaged)  link: %d retries, %d reconnects  quarantines: %d\n",
-		s.Bugs, s.Triaged, s.Retries, s.Reconns, s.Quarant)
+		s.Bugs, s.Triaged, s.LinkRetries, s.LinkReconnects, s.Quarantines)
 	if s.Checkpoints > 0 || s.Distills > 0 {
 		fmt.Printf("persistence: %d checkpoints (%d edges durable), %d distills (%d entries dropped)\n",
 			s.Checkpoints, s.DurableEdges, s.Distills, s.DistillDropped)

@@ -699,12 +699,13 @@ func NewCampaign(opts Options) (*Campaign, error) {
 		}
 		cfg.TraceSink = trace.NewJSONL(opts.TraceJSONL)
 	}
+	var status *trace.Status
 	if opts.StatusEvery > 0 {
 		w := opts.StatusWriter
 		if w == nil {
 			w = os.Stderr
 		}
-		status := trace.NewStatus(w, opts.StatusEvery)
+		status = trace.NewStatus(w, opts.StatusEvery)
 		status.SetEmulStart(hdr.EmulStart())
 		cfg.StatusSink = status
 	}
@@ -735,9 +736,10 @@ func NewCampaign(opts Options) (*Campaign, error) {
 			return nil, err
 		}
 		c.metricsSrv = srv
-		// The registry rides the live sink path next to the status line;
-		// the deterministic journal path is untouched.
-		cfg.StatusSink = trace.Multi(cfg.StatusSink, c.metricsSink)
+		// The registry rides the live sink path and the status line prints
+		// from its fold; the deterministic journal path is untouched.
+		c.metricsSink.SetStatus(status)
+		cfg.StatusSink = c.metricsSink
 	}
 	pool, err := fleet.New(cfg, fleet.Options{
 		Shards:     hdr.Shards,
@@ -837,9 +839,7 @@ func (c *Campaign) Run(budget time.Duration) (*Report, error) {
 	out.Shards = c.shards
 	out.Persist = c.persistReport()
 	if c.metricsSink != nil {
-		// Pin the scraped counters to the authoritative report: a scrape
-		// after Run equals the Report field for field.
-		c.metricsSink.PublishFinal(finalOf(out))
+		c.metricsSink.PinEdges(out.Edges)
 	}
 	return out, nil
 }
@@ -871,31 +871,6 @@ func (c *Campaign) persistReport() *PersistReport {
 		PriorElapsed: c.priorElapsed,
 		Warnings:     c.persist.Store().Warnings(),
 	}
-}
-
-// finalOf converts the public report into the metrics publish record.
-func finalOf(r *Report) metrics.Final {
-	f := metrics.Final{
-		Execs:          r.Execs,
-		Edges:          r.Edges,
-		Restores:       r.Restores,
-		ByReason:       r.RestoresByReason,
-		DeltaRestores:  r.DeltaRestores,
-		FullRestores:   r.FullRestores,
-		Bugs:           len(r.Bugs),
-		LinkRetries:    r.LinkRetries,
-		LinkReconnects: r.LinkReconnects,
-		Quarantines:    len(r.Quarantines),
-		TimeBy:         r.TimeBy,
-		Duration:       r.Duration,
-	}
-	if len(r.Tiers) > 0 {
-		f.TierExecs = make(map[string]int, len(r.Tiers))
-		for _, t := range r.Tiers {
-			f.TierExecs[t.Class] = t.Execs
-		}
-	}
-	return f
 }
 
 // Close releases the debug link(s) and the board(s), and shuts down the

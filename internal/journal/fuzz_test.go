@@ -11,10 +11,11 @@ import (
 
 // FuzzRead feeds arbitrary bytes to the journal reader and every analysis
 // behind eoftrace. A journal is untrusted input (a torn, truncated or
-// hand-edited file), so neither reading nor analysing it may panic. A journal
-// that reads cleanly must also survive a round trip: re-encoding its header
-// and events with the writer's own encoders and reading them back yields the
-// same journal.
+// hand-edited file), so neither reading nor analysing it may panic, and its
+// fold must satisfy what holds for any event sequence. A journal that reads
+// cleanly must also survive a round trip: re-encoding its header and events
+// with the writer's own encoders and reading them back yields the same
+// journal and the same fold.
 func FuzzRead(f *testing.F) {
 	hdr := trace.Header{OS: "zephyr", Board: "stm32h745", Seed: 9, Shards: 2, EmulShards: 1, Digest: "abc"}
 	f.Add(synth(&hdr, []trace.Event{
@@ -33,7 +34,8 @@ func FuzzRead(f *testing.F) {
 		if err != nil {
 			return
 		}
-		Summarize(j)
+		f := Summarize(j)
+		checkFold(t, f)
 		Cov(j)
 		Bottlenecks(j)
 		Divergences(j)
@@ -55,5 +57,35 @@ func FuzzRead(f *testing.F) {
 			!reflect.DeepEqual(k.Events, j.Events) {
 			t.Fatalf("journal changed over a write/read round trip:\n%+v\n%+v", j, k)
 		}
+		if g := Summarize(k); !reflect.DeepEqual(f, g) {
+			t.Fatalf("fold changed over a write/read round trip:\n%+v\n%+v", f, g)
+		}
 	})
+}
+
+// checkFold asserts the fold invariants that hold for any event sequence.
+func checkFold(t *testing.T, f *trace.Fold) {
+	t.Helper()
+	execs := 0
+	for _, sh := range f.PerShard() {
+		execs += sh.Execs
+	}
+	if execs != f.Execs {
+		t.Fatalf("per-shard execs sum to %d, total %d", execs, f.Execs)
+	}
+	if f.HWExecs+f.EmExecs != f.Execs {
+		t.Fatalf("hw %d + emul %d execs != total %d", f.HWExecs, f.EmExecs, f.Execs)
+	}
+	restores := 0
+	for _, n := range f.ByReason {
+		restores += n
+	}
+	if restores != f.Restores {
+		t.Fatalf("by-reason restores sum to %d, total %d", restores, f.Restores)
+	}
+	for i, b := range f.Budgets {
+		if b.Shard < 0 || (i > 0 && b.Shard <= f.Budgets[i-1].Shard) {
+			t.Fatalf("budgets not once each in ascending board order: %+v", f.Budgets)
+		}
+	}
 }

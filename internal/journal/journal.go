@@ -116,171 +116,15 @@ func (j *Journal) emulStart() int {
 	return j.Header.EmulStart()
 }
 
-// ShardBudget is one shard's reconstructed board-time budget.
-type ShardBudget struct {
-	Shard    int
-	TimeBy   trace.TimeBy
-	Duration time.Duration
-	// Drift is TimeBy.Sum() - Duration; zero when the journal satisfies the
-	// report invariant (every shard's buckets sum to its accounted duration).
-	Drift time.Duration
-}
-
-// Summary is the campaign overview eoftrace prints: totals, rates, and the
-// board-time budget rebuilt from the journal's TimeBudget records.
-type Summary struct {
-	Events   int
-	Shards   int
-	Execs    int
-	HWExecs  int
-	EmExecs  int
-	Edges    int // distinct hardware-tier edges (last sync barrier in fleets)
-	EmEdges  int // distinct emulation-tier edges, tiered campaigns only
-	Restores int
-	ByReason map[string]int
-	Reflash  int
-	Bugs     int
-	Triaged  int
-	Retries  int
-	Reconns  int
-	Quarant  int
-
-	// Checkpoints and Distills count the persistence layer's campaign-level
-	// (shard -1) stream events; DistillDropped totals the entries
-	// distillation removed and DurableEdges is the edge count the last
-	// checkpoint made durable — the audit trail for daemon-run campaigns.
-	// All zero for campaigns run without a corpus store.
-	Checkpoints    int
-	Distills       int
-	DistillDropped int
-	DurableEdges   int
-
-	// VirtualEnd is the journal's clock high-water mark; Duration is the
-	// accounted campaign duration from the TimeBudget records (zero for
-	// journals predating them).
-	VirtualEnd time.Duration
-	Duration   time.Duration
-	TimeBy     trace.TimeBy // summed across shards
-	Budgets    []ShardBudget
-}
-
-// ExecsPerSec returns hardware-tier executions per accounted virtual second.
-func (s *Summary) ExecsPerSec() float64 {
-	d := s.Duration
-	if d == 0 {
-		d = s.VirtualEnd
-	}
-	if d <= 0 {
-		return 0
-	}
-	return float64(s.HWExecs) / d.Seconds()
-}
-
-// Summarize folds a journal into its campaign overview.
-func Summarize(j *Journal) *Summary {
-	s := &Summary{Events: len(j.Events), ByReason: map[string]int{}}
-	emulStart := j.emulStart()
-	shards := map[int]bool{}
-	budgets := map[int]*ShardBudget{}
-	covSum := 0
+// Summarize folds a journal's events into its campaign overview: the same
+// trace.Fold the live status line and metrics server keep, tier-attributed by
+// the journal header.
+func Summarize(j *Journal) *trace.Fold {
+	f := trace.NewFold(j.emulStart())
 	for _, ev := range j.Events {
-		if ev.Shard >= 0 {
-			// Negative shards are campaign-level streams (the persistence
-			// layer's checkpoint/distill events), not boards.
-			shards[ev.Shard] = true
-		}
-		if ev.At > s.VirtualEnd {
-			s.VirtualEnd = ev.At
-		}
-		emul := emulStart >= 0 && ev.Shard >= emulStart
-		switch ev.Kind {
-		case trace.ExecEnd:
-			s.Execs++
-			if emul {
-				s.EmExecs++
-			} else {
-				s.HWExecs++
-			}
-		case trace.CovGain:
-			if !emul {
-				covSum += ev.Edges
-			}
-		case trace.SyncEpoch:
-			if emul {
-				if ev.Edges > s.EmEdges {
-					s.EmEdges = ev.Edges
-				}
-			} else if ev.Edges > s.Edges {
-				s.Edges = ev.Edges
-			}
-		case trace.RestoreBegin:
-			s.Restores++
-			s.ByReason[ev.Reason]++
-		case trace.Reflash:
-			s.Reflash++
-		case trace.Bug:
-			s.Bugs++
-		case trace.TriageEnd:
-			s.Triaged++
-		case trace.LinkRetry:
-			s.Retries++
-		case trace.LinkReconnect:
-			s.Reconns++
-		case trace.Quarantine:
-			s.Quarant++
-		case trace.Checkpoint:
-			// Campaign-level persister stream: Exec is the epoch ordinal,
-			// Edges the durable coverage the checkpoint committed.
-			s.Checkpoints++
-			if ev.Edges > s.DurableEdges {
-				s.DurableEdges = ev.Edges
-			}
-		case trace.Distill:
-			s.Distills++
-			s.DistillDropped += ev.Edges
-		case trace.TimeBudget:
-			b := budgets[ev.Shard]
-			if b == nil {
-				b = &ShardBudget{Shard: ev.Shard}
-				budgets[ev.Shard] = b
-			}
-			switch ev.Reason {
-			case "duration":
-				b.Duration = ev.Dur
-			case "restoring-delta":
-				b.TimeBy.RestoringDelta = ev.Dur
-			case "restoring-full":
-				b.TimeBy.RestoringFull = ev.Dur
-			default:
-				for _, c := range trace.Categories() {
-					if c.String() == ev.Reason {
-						b.TimeBy.Add(c, ev.Dur)
-					}
-				}
-			}
-		}
+		f.Apply(ev)
 	}
-	if covSum > s.Edges {
-		s.Edges = covSum
-	}
-	s.Shards = len(shards)
-	// Budgets in shard order, with the invariant cross-check.
-	for shard := 0; ; shard++ {
-		b := budgets[shard]
-		if b == nil {
-			if len(s.Budgets) == len(budgets) {
-				break
-			}
-			continue
-		}
-		b.Drift = b.TimeBy.Sum() - b.Duration
-		s.TimeBy.Merge(b.TimeBy)
-		if b.Duration > s.Duration {
-			s.Duration = b.Duration
-		}
-		s.Budgets = append(s.Budgets, *b)
-	}
-	return s
+	return &f
 }
 
 // CovPoint is one step of the time-to-coverage series.
@@ -392,6 +236,9 @@ func Bottlenecks(j *Journal) []Sink {
 	// Fallback: begin/end pairs carry the only durations in old journals.
 	perShard := map[int]map[string]time.Duration{}
 	for _, ev := range j.Events {
+		if ev.Shard < 0 {
+			continue // campaign-level streams are not boards
+		}
 		var cat string
 		switch ev.Kind {
 		case trace.RestoreEnd:
@@ -408,17 +255,13 @@ func Bottlenecks(j *Journal) []Sink {
 		}
 		m[cat] += ev.Dur
 	}
-	maxShard := -1
+	shards := make([]int, 0, len(perShard))
 	for shard := range perShard {
-		if shard > maxShard {
-			maxShard = shard
-		}
+		shards = append(shards, shard)
 	}
-	for shard := 0; shard <= maxShard; shard++ {
+	sort.Ints(shards)
+	for _, shard := range shards {
 		m := perShard[shard]
-		if m == nil {
-			continue
-		}
 		var sinks []Sink
 		for _, cat := range []string{"restoring", "triaging"} {
 			if d, ok := m[cat]; ok {

@@ -185,6 +185,30 @@ func TestSummarizeBudgets(t *testing.T) {
 	}
 }
 
+// TestAnalysesReturnOnOutlyingShards pins two journals that used to hang the
+// analyses: a budget on the campaign-level shard -1, which a walk counting up
+// from shard 0 never reaches, and a restore at a huge shard index, which the
+// pre-budget fallback walked up to one index at a time.
+func TestAnalysesReturnOnOutlyingShards(t *testing.T) {
+	for _, line := range []string{
+		`{"seq":0,"at_ns":1,"shard":-1,"kind":"time-budget","reason":"executing","dur_ns":5}`,
+		`{"seq":0,"at_ns":1,"shard":4000000000000,"kind":"restore-end","dur_ns":5}`,
+	} {
+		j := mustRead(t, []byte(line+"\n"))
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			Summarize(j)
+			Bottlenecks(j)
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("analyses did not return within 5s on %s", line)
+		}
+	}
+}
+
 func TestCovPlateau(t *testing.T) {
 	hdr := trace.Header{OS: "freertos", Board: "b", Seed: 1, Shards: 1, EmulShards: 1}
 	evs := []trace.Event{

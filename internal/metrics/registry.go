@@ -1,7 +1,8 @@
 // Package metrics is the campaign telemetry layer: a lock-cheap registry of
-// counters, gauges and fixed-bucket histograms, a trace.Sink that folds the
-// campaign event stream into the registry (so engine/fleet/link code needs no
-// metric call sites), and an embedded HTTP server exposing the registry in
+// counters, gauges and fixed-bucket histograms, a trace.Sink that keeps the
+// campaign's live trace.Fold and copies it into the registry at scrape time
+// (so engine/fleet/link code needs no metric call sites), and an embedded
+// HTTP server exposing the registry in
 // Prometheus text format at /metrics, a JSON status document at /status, and
 // net/http/pprof at /debug/pprof/ for host-side profiling.
 //
@@ -45,8 +46,8 @@ func (v *value) set(f float64) { v.bits.Store(math.Float64bits(f)) }
 func (v *value) get() float64  { return math.Float64frombits(v.bits.Load()) }
 
 // Counter is a monotonically increasing metric. Add with a negative delta is
-// a programming error; Set exists only for the end-of-campaign publish that
-// pins counters to the authoritative Report values.
+// a programming error; Set exists for scrape-time collectors that copy a
+// counter from the state they fold (see Registry.OnScrape).
 type Counter struct{ v value }
 
 // Inc adds 1.
@@ -55,7 +56,7 @@ func (c *Counter) Inc() { c.v.add(1) }
 // Add adds d (d must be >= 0).
 func (c *Counter) Add(d float64) { c.v.add(d) }
 
-// Set pins the counter to f. Only the final-report publish uses it.
+// Set replaces the counter's value with f.
 func (c *Counter) Set(f float64) { c.v.set(f) }
 
 // Value returns the current value.
@@ -108,6 +109,18 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the sum of observations.
 func (h *Histogram) Sum() float64 { return h.sum.get() }
+
+// set replaces the histogram's state with per-bucket counts (one per bound,
+// then +Inf) and their sum.
+func (h *Histogram) set(counts []int, sum float64) {
+	n := uint64(0)
+	for i, c := range counts {
+		h.counts[i].Store(uint64(c))
+		n += uint64(c)
+	}
+	h.count.Store(n)
+	h.sum.set(sum)
+}
 
 // CounterVec is a family of counters split by one label.
 type CounterVec struct {
@@ -163,8 +176,9 @@ type family struct {
 // updates through the returned handles are lock-free (vectors take the
 // vector's own mutex only on a label's first use).
 type Registry struct {
-	mu   sync.Mutex
-	fams map[string]*family
+	mu       sync.Mutex
+	fams     map[string]*family
+	onScrape []func()
 }
 
 // NewRegistry builds an empty registry.
@@ -179,6 +193,15 @@ func (r *Registry) register(f *family) {
 		panic("metrics: duplicate registration of " + f.name)
 	}
 	r.fams[f.name] = f
+}
+
+// OnScrape registers fn to run before every exposition, so families whose
+// values live in another structure (the campaign sink's fold) are copied in
+// at scrape time rather than updated per event.
+func (r *Registry) OnScrape(fn func()) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.onScrape = append(r.onScrape, fn)
 }
 
 // NewCounter registers a scalar counter.
@@ -226,6 +249,12 @@ func (r *Registry) NewGaugeVec(name, help, label string) *GaugeVec {
 // Families are sorted by name and series by label value, so the output is
 // deterministic — the golden-file test depends on that.
 func (r *Registry) WriteText(w io.Writer) error {
+	r.mu.Lock()
+	hooks := r.onScrape
+	r.mu.Unlock()
+	for _, fn := range hooks {
+		fn()
+	}
 	r.mu.Lock()
 	names := make([]string, 0, len(r.fams))
 	for n := range r.fams {

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -59,12 +60,28 @@ func TestRegistryConcurrentWriters(t *testing.T) {
 }
 
 // TestSinkConcurrentShards drives the trace-sink folding from concurrent
-// emitters, as a tiered fleet does.
+// emitters, as a tiered fleet does, while a status line prints from the fold
+// and a scraper reads it.
 func TestSinkConcurrentShards(t *testing.T) {
 	reg := NewRegistry()
 	s := NewSink(reg, 4)
+	s.SetStatus(trace.NewStatus(io.Discard, time.Nanosecond))
 	const shards = 6
 	const execs = 2000
+	done := make(chan struct{})
+	scraped := make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				_ = reg.WriteText(io.Discard)
+				s.Status()
+			}
+		}
+	}()
 	var wg sync.WaitGroup
 	for sh := 0; sh < shards; sh++ {
 		sh := sh
@@ -82,12 +99,14 @@ func TestSinkConcurrentShards(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	close(done)
+	<-scraped
 
-	if got := s.execs.Value(); got != shards*execs {
+	if got := s.fold.Execs; got != shards*execs {
 		t.Fatalf("execs folded to %v, want %d", got, shards*execs)
 	}
-	hw := s.execsTier.With("hw").Value()
-	em := s.execsTier.With("emul").Value()
+	hw := s.fold.HWExecs
+	em := s.fold.EmExecs
 	if hw != 4*execs || em != 2*execs {
 		t.Fatalf("tier split hw=%v emul=%v, want %d/%d", hw, em, 4*execs, 2*execs)
 	}
@@ -108,16 +127,16 @@ func TestConfirmQueueDepth(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		s.Emit(trace.Event{Kind: trace.ConfirmEnqueue, Shard: 2, Edges: 3})
 	}
-	if got := s.confirmQ.Value(); got != 5 {
+	if got := s.fold.ConfirmQueueDepth(); got != 5 {
 		t.Fatalf("depth after 5 enqueues: %v", got)
 	}
 	s.Emit(trace.Event{Kind: trace.TierConfirm, Shard: 0, Exec: 2, Reason: "cov", Edges: 3})
 	s.Emit(trace.Event{Kind: trace.TierDiverge, Shard: 0, Exec: 2, Reason: "hw-only-crash:k#1"})
 	s.Emit(trace.Event{Kind: trace.TierDiverge, Shard: 0, Exec: 2, Reason: "emul-only-cov", Edges: 1})
-	if got := s.confirmQ.Value(); got != 3 {
+	if got := s.fold.ConfirmQueueDepth(); got != 3 {
 		t.Fatalf("depth after cov-confirm + hw-only-crash + cov-diverge: %v, want 3", got)
 	}
-	if got := s.diverges.With("hw-only-crash").Value(); got != 1 {
+	if got := s.fold.Divergences["hw-only-crash"]; got != 1 {
 		t.Fatalf("hw-only-crash divergences: %v", got)
 	}
 }

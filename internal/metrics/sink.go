@@ -1,299 +1,133 @@
 package metrics
 
 import (
-	"sort"
-	"strings"
 	"sync"
-	"time"
 
 	"github.com/eof-fuzz/eof/internal/trace"
 )
 
-// restoreBounds are the eof_restore_duration_seconds histogram buckets,
-// spanning delta restores (tens of milliseconds) through full
-// reflash+power-cycle ladders (tens of seconds).
-var restoreBounds = []float64{0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30}
-
-// Sink folds the campaign trace-event stream into a Registry — the fourth
-// consumer of the stream after the flight recorder, the journal and the
-// status line. Attaching it as a live sink means the engine, fleet and link
-// layers need no metric call sites at all. It is safe for concurrent use
-// (fleet shards emit from their own goroutines): the hot counters are
-// lock-free, and only the per-shard breakdown behind /status takes the mutex.
+// Sink is the live consumer behind `-metrics-addr`: it folds the campaign
+// trace-event stream into one trace.Fold behind one mutex, and the registry
+// and /status read that fold at scrape time. Attaching it as a live sink
+// means the engine, fleet and link layers need no metric call sites at all.
+// It is safe for concurrent use (fleet shards emit from their own
+// goroutines).
 type Sink struct {
-	execs       *Counter
-	execsTier   *CounterVec
-	edges       *Gauge
-	corpusAdds  *Counter
-	restores    *Counter
-	restoresBy  *CounterVec
-	restoresMod *CounterVec
-	reflashes   *Counter
-	snapshots   *Counter
-	bugs        *Counter
-	triaged     *Counter
-	linkFaults  *Counter
-	linkRetries *Counter
-	linkReconns *Counter
-	quarantines *Counter
-	promotes    *Counter
-	syncEpochs  *Counter
-	confirmEnq  *Counter
-	confirms    *CounterVec
-	diverges    *CounterVec
-	confirmQ    *Gauge
-	timeBy      *CounterVec
-	duration    *Gauge
-	virtual     *Gauge
-	restoreDur  *Histogram
-
-	mu        sync.Mutex
-	emulStart int
-	shards    map[int]*shardStat
-	enq       int64 // confirmation enqueues
-	fin       int64 // confirmation verdicts drawn
-	started   time.Time
-}
-
-// shardStat is the per-shard slice of the /status document.
-type shardStat struct {
-	Execs    int           `json:"execs"`
-	Edges    int           `json:"edges"`
-	Restores int           `json:"restores"`
-	Bugs     int           `json:"bugs"`
-	At       time.Duration `json:"-"`
-	inDelta  bool          // a delta-restore event seen since restore-begin
+	mu     sync.Mutex
+	fold   trace.Fold
+	status *trace.Status // printed from fold; nil without a status line
 }
 
 // NewSink registers the campaign metric families on reg and returns the
 // folding sink. emulStart is the first emulation-tier shard index (negative
 // for untiered campaigns); it routes per-tier attribution.
 func NewSink(reg *Registry, emulStart int) *Sink {
-	s := &Sink{
-		execs:       reg.NewCounter("eof_execs_total", "Completed test-case executions."),
-		execsTier:   reg.NewCounterVec("eof_execs_tier_total", "Completed executions by tier.", "tier"),
-		edges:       reg.NewGauge("eof_edges", "Distinct coverage edges observed (fleet-wide)."),
-		corpusAdds:  reg.NewCounter("eof_corpus_adds_total", "Coverage-increasing inputs admitted to the corpus."),
-		restores:    reg.NewCounter("eof_restores_total", "State restorations."),
-		restoresBy:  reg.NewCounterVec("eof_restores_reason_total", "State restorations by trigger.", "reason"),
-		restoresMod: reg.NewCounterVec("eof_restores_mode_total", "State restorations by mechanism (delta vs full).", "mode"),
-		reflashes:   reg.NewCounter("eof_reflashes_total", "Full image reflashes."),
-		snapshots:   reg.NewCounter("eof_snapshot_takes_total", "Golden snapshots cached."),
-		bugs:        reg.NewCounter("eof_bugs_total", "Deduplicated findings."),
-		triaged:     reg.NewCounter("eof_triaged_total", "Findings fully triaged."),
-		linkFaults:  reg.NewCounter("eof_link_faults_total", "Debug-link faults observed or injected."),
-		linkRetries: reg.NewCounter("eof_link_retries_total", "Transparent debug-link command retries."),
-		linkReconns: reg.NewCounter("eof_link_reconnects_total", "Recovered debug-link deaths."),
-		quarantines: reg.NewCounter("eof_quarantines_total", "Boards retired by the fleet supervisor."),
-		promotes:    reg.NewCounter("eof_spare_promotes_total", "Hot spares promoted into vacated slots."),
-		syncEpochs:  reg.NewCounter("eof_sync_epochs_total", "Fleet feedback-exchange barriers."),
-		confirmEnq:  reg.NewCounter("eof_confirm_enqueues_total", "Emulation observations queued for hardware confirmation."),
-		confirms:    reg.NewCounterVec("eof_tier_confirms_total", "Hardware-confirmed emulation observations by kind.", "kind"),
-		diverges:    reg.NewCounterVec("eof_tier_divergences_total", "Cross-tier divergences by kind.", "kind"),
-		confirmQ:    reg.NewGauge("eof_confirm_queue_depth", "Emulation observations awaiting hardware confirmation."),
-		timeBy:      reg.NewCounterVec("eof_time_by_seconds_total", "Board-time budget by category (virtual seconds).", "category"),
-		duration:    reg.NewGauge("eof_duration_seconds", "Accounted campaign duration (virtual seconds, per shard)."),
-		virtual:     reg.NewGauge("eof_virtual_seconds", "Campaign virtual clock high-water mark."),
-		restoreDur:  reg.NewHistogram("eof_restore_duration_seconds", "State-restoration cost (virtual seconds).", restoreBounds),
-		emulStart:   emulStart,
-		shards:      make(map[int]*shardStat),
-		started:     time.Now(),
+	s := &Sink{fold: trace.NewFold(emulStart)}
+	execs := reg.NewCounter("eof_execs_total", "Completed test-case executions.")
+	execsTier := reg.NewCounterVec("eof_execs_tier_total", "Completed executions by tier.", "tier")
+	edges := reg.NewGauge("eof_edges", "Distinct coverage edges observed (fleet-wide).")
+	corpusAdds := reg.NewCounter("eof_corpus_adds_total", "Coverage-increasing inputs admitted to the corpus.")
+	restores := reg.NewCounter("eof_restores_total", "State restorations.")
+	restoresBy := reg.NewCounterVec("eof_restores_reason_total", "State restorations by trigger.", "reason")
+	restoresMod := reg.NewCounterVec("eof_restores_mode_total", "State restorations by mechanism (delta vs full).", "mode")
+	reflashes := reg.NewCounter("eof_reflashes_total", "Full image reflashes.")
+	snapshots := reg.NewCounter("eof_snapshot_takes_total", "Golden snapshots cached.")
+	bugs := reg.NewCounter("eof_bugs_total", "Deduplicated findings.")
+	triaged := reg.NewCounter("eof_triaged_total", "Findings fully triaged.")
+	linkFaults := reg.NewCounter("eof_link_faults_total", "Debug-link faults observed or injected.")
+	linkRetries := reg.NewCounter("eof_link_retries_total", "Transparent debug-link command retries.")
+	linkReconns := reg.NewCounter("eof_link_reconnects_total", "Recovered debug-link deaths.")
+	quarantines := reg.NewCounter("eof_quarantines_total", "Boards retired by the fleet supervisor.")
+	promotes := reg.NewCounter("eof_spare_promotes_total", "Hot spares promoted into vacated slots.")
+	syncEpochs := reg.NewCounter("eof_sync_epochs_total", "Fleet feedback-exchange barriers.")
+	confirmEnq := reg.NewCounter("eof_confirm_enqueues_total", "Emulation observations queued for hardware confirmation.")
+	confirms := reg.NewCounterVec("eof_tier_confirms_total", "Hardware-confirmed emulation observations by kind.", "kind")
+	diverges := reg.NewCounterVec("eof_tier_divergences_total", "Cross-tier divergences by kind.", "kind")
+	confirmQ := reg.NewGauge("eof_confirm_queue_depth", "Emulation observations awaiting hardware confirmation.")
+	timeBy := reg.NewCounterVec("eof_time_by_seconds_total", "Board-time budget by category (virtual seconds).", "category")
+	duration := reg.NewGauge("eof_duration_seconds", "Accounted campaign duration (virtual seconds, per shard).")
+	virtual := reg.NewGauge("eof_virtual_seconds", "Campaign virtual clock high-water mark.")
+	bounds := make([]float64, len(trace.RestoreBounds))
+	for i, b := range trace.RestoreBounds {
+		bounds[i] = b.Seconds()
 	}
-	// Materialise the fixed label sets up front so a scrape of an idle
-	// campaign already shows every series at zero.
-	for _, c := range trace.Categories() {
-		s.timeBy.With(c.String())
-	}
-	s.restoresMod.With("delta")
-	s.restoresMod.With("full")
-	if emulStart >= 0 {
-		s.execsTier.With("hw")
-		s.execsTier.With("emul")
-	}
+	restoreDur := reg.NewHistogram("eof_restore_duration_seconds", "State-restoration cost (virtual seconds).", bounds)
+
+	reg.OnScrape(func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		f := &s.fold
+		execs.Set(float64(f.Execs))
+		if f.EmulStart >= 0 {
+			execsTier.With("hw").Set(float64(f.HWExecs))
+			execsTier.With("emul").Set(float64(f.EmExecs))
+		}
+		edges.Set(float64(f.Edges))
+		corpusAdds.Set(float64(f.CorpusAdds))
+		restores.Set(float64(f.Restores))
+		for reason, n := range f.ByReason {
+			restoresBy.With(reason).Set(float64(n))
+		}
+		restoresMod.With("delta").Set(float64(f.DeltaRestores))
+		restoresMod.With("full").Set(float64(f.FullRestores()))
+		reflashes.Set(float64(f.Reflashes))
+		snapshots.Set(float64(f.SnapshotTakes))
+		bugs.Set(float64(f.Bugs))
+		triaged.Set(float64(f.Triaged))
+		linkFaults.Set(float64(f.LinkFaults))
+		linkRetries.Set(float64(f.LinkRetries))
+		linkReconns.Set(float64(f.LinkReconnects))
+		quarantines.Set(float64(f.Quarantines))
+		promotes.Set(float64(f.SparePromotes))
+		syncEpochs.Set(float64(f.SyncEpochs))
+		confirmEnq.Set(float64(f.ConfirmEnqueues))
+		for kind, n := range f.Confirms {
+			confirms.With(kind).Set(float64(n))
+		}
+		for kind, n := range f.Divergences {
+			diverges.With(kind).Set(float64(n))
+		}
+		confirmQ.Set(float64(f.ConfirmQueueDepth()))
+		for _, c := range trace.Categories() {
+			timeBy.With(c.String()).Set(f.TimeBy.Of(c).Seconds())
+		}
+		duration.Set(f.Duration.Seconds())
+		virtual.Set(f.VirtualEnd.Seconds())
+		restoreDur.set(f.RestoreDur[:], f.RestoreDurSum.Seconds())
+	})
 	return s
 }
 
-func (s *Sink) tierOf(shard int) string {
-	if s.emulStart >= 0 && shard >= s.emulStart {
-		return "emul"
-	}
-	return "hw"
+// SetStatus makes the sink print st's status line from its own fold, so a
+// campaign with both a status line and a metrics server keeps one live fold.
+// Call before the campaign starts; nil prints none.
+func (s *Sink) SetStatus(st *trace.Status) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.status = st
 }
 
-func (s *Sink) shard(id int) *shardStat {
-	st := s.shards[id]
-	if st == nil {
-		st = &shardStat{}
-		s.shards[id] = st
-	}
-	return st
-}
-
-// Emit folds one trace event into the registry.
+// Emit folds one trace event.
 func (s *Sink) Emit(ev trace.Event) {
-	switch ev.Kind {
-	case trace.ExecEnd:
-		s.execs.Inc()
-		if s.emulStart >= 0 {
-			s.execsTier.With(s.tierOf(ev.Shard)).Inc()
-		}
-		s.mu.Lock()
-		s.shard(ev.Shard).Execs++
-		s.mu.Unlock()
-	case trace.CovGain:
-		s.mu.Lock()
-		s.shard(ev.Shard).Edges += ev.Edges
-		total := 0
-		for _, st := range s.shards {
-			total += st.Edges
-		}
-		s.mu.Unlock()
-		s.edges.SetMax(float64(total))
-	case trace.SyncEpoch:
-		s.syncEpochs.Inc()
-		s.edges.SetMax(float64(ev.Edges))
-	case trace.CorpusAdd:
-		s.corpusAdds.Inc()
-	case trace.RestoreBegin:
-		s.restores.Inc()
-		s.restoresBy.With(ev.Reason).Inc()
-		s.mu.Lock()
-		st := s.shard(ev.Shard)
-		st.Restores++
-		st.inDelta = false
-		s.mu.Unlock()
-	case trace.DeltaRestore:
-		s.mu.Lock()
-		s.shard(ev.Shard).inDelta = true
-		s.mu.Unlock()
-	case trace.RestoreEnd:
-		s.restoreDur.Observe(ev.Dur.Seconds())
-		s.mu.Lock()
-		delta := s.shard(ev.Shard).inDelta
-		s.mu.Unlock()
-		if delta {
-			s.restoresMod.With("delta").Inc()
-		} else {
-			s.restoresMod.With("full").Inc()
-		}
-	case trace.Reflash:
-		s.reflashes.Inc()
-	case trace.SnapshotTake:
-		s.snapshots.Inc()
-	case trace.Bug:
-		s.bugs.Inc()
-		s.mu.Lock()
-		s.shard(ev.Shard).Bugs++
-		s.mu.Unlock()
-	case trace.TriageEnd:
-		s.triaged.Inc()
-	case trace.LinkFault:
-		s.linkFaults.Inc()
-	case trace.LinkRetry:
-		s.linkRetries.Inc()
-	case trace.LinkReconnect:
-		s.linkReconns.Inc()
-	case trace.Quarantine:
-		s.quarantines.Inc()
-	case trace.SparePromote:
-		s.promotes.Inc()
-	case trace.ConfirmEnqueue:
-		s.confirmEnq.Inc()
-		s.mu.Lock()
-		s.enq++
-		depth := s.enq - s.fin
-		s.mu.Unlock()
-		s.confirmQ.Set(float64(depth))
-	case trace.TierConfirm:
-		kind := "cov"
-		if strings.HasPrefix(ev.Reason, "crash:") {
-			kind = "crash"
-		}
-		s.confirms.With(kind).Inc()
-		s.retire()
-	case trace.TierDiverge:
-		kind := ev.Reason
-		if i := strings.IndexByte(kind, ':'); i >= 0 {
-			kind = kind[:i]
-		}
-		s.diverges.With(kind).Inc()
-		// hw-only-crash verdicts are extras discovered while replaying a
-		// coverage item; they do not retire a queue entry.
-		if kind != "hw-only-crash" {
-			s.retire()
-		}
-	case trace.TimeBudget:
-		switch ev.Reason {
-		case "duration":
-			s.duration.Set(ev.Dur.Seconds())
-		case "restoring-delta", "restoring-full":
-			// Sub-buckets of "restoring"; skip so the category counters sum
-			// to the duration.
-		default:
-			s.timeBy.With(ev.Reason).Add(ev.Dur.Seconds())
-		}
-	}
-	s.virtual.SetMax(ev.At.Seconds())
 	s.mu.Lock()
-	if st := s.shard(ev.Shard); ev.At > st.At {
-		st.At = ev.At
+	defer s.mu.Unlock()
+	s.fold.Apply(ev)
+	if s.status != nil {
+		s.status.Observe(&s.fold)
 	}
-	s.mu.Unlock()
 }
 
-func (s *Sink) retire() {
+// PinEdges replaces the folded edge total with the final Report's. The
+// journal misses two sources of coverage the Report counts, so only the edge
+// total needs the pin:
+//   - a snapshot campaign's post-init drain ingests boot coverage with no
+//     cov-gain record (one edge per rtthread snapshot campaign);
+//   - a tiered pool journals its hardware sync-epoch before that barrier's
+//     confirmation replays, whose fresh edges no later barrier reports.
+func (s *Sink) PinEdges(edges int) {
 	s.mu.Lock()
-	s.fin++
-	depth := s.enq - s.fin
-	s.mu.Unlock()
-	if depth < 0 {
-		depth = 0
-	}
-	s.confirmQ.Set(float64(depth))
-}
-
-// Final pins the scraped counters to the campaign's authoritative final
-// Report: event folding is exact for a deterministic journal, but the report
-// remains the source of truth (fleet-wide edge totals, barrier-attributed
-// TimeBy), so Campaign.Run publishes it here when it completes. After the
-// publish a scrape equals the Report field for field.
-type Final struct {
-	Execs          int
-	Edges          int
-	Restores       int
-	ByReason       map[string]int
-	DeltaRestores  int
-	FullRestores   int
-	Bugs           int
-	LinkRetries    int64
-	LinkReconnects int64
-	Quarantines    int
-	TimeBy         trace.TimeBy
-	Duration       time.Duration
-	TierExecs      map[string]int // by tier class name, nil when untiered
-}
-
-// PublishFinal overwrites the live-folded values with the final report's.
-func (s *Sink) PublishFinal(f Final) {
-	s.execs.Set(float64(f.Execs))
-	s.edges.Set(float64(f.Edges))
-	s.restores.Set(float64(f.Restores))
-	for reason, n := range f.ByReason {
-		s.restoresBy.With(reason).Set(float64(n))
-	}
-	s.restoresMod.With("delta").Set(float64(f.DeltaRestores))
-	s.restoresMod.With("full").Set(float64(f.FullRestores))
-	s.bugs.Set(float64(f.Bugs))
-	s.linkRetries.Set(float64(f.LinkRetries))
-	s.linkReconns.Set(float64(f.LinkReconnects))
-	s.quarantines.Set(float64(f.Quarantines))
-	for _, c := range trace.Categories() {
-		s.timeBy.With(c.String()).Set(f.TimeBy.Of(c).Seconds())
-	}
-	s.duration.Set(f.Duration.Seconds())
-	for tier, n := range f.TierExecs {
-		s.execsTier.With(tier).Set(float64(n))
-	}
+	defer s.mu.Unlock()
+	s.fold.Edges = edges
 }
 
 // StatusDoc is the JSON document served at /status: the live status line's
@@ -331,43 +165,39 @@ type Tier struct {
 func (s *Sink) Status() StatusDoc {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	f := &s.fold
 	doc := StatusDoc{
-		VirtualSeconds: s.virtual.Value(),
-		Execs:          int(s.execs.Value()),
-		Edges:          int(s.edges.Value()),
-		Restores:       int(s.restores.Value()),
-		Bugs:           int(s.bugs.Value()),
-		Quarantines:    int(s.quarantines.Value()),
+		VirtualSeconds: f.VirtualEnd.Seconds(),
+		Execs:          f.Execs,
+		Edges:          f.Edges,
+		Restores:       f.Restores,
+		Bugs:           f.Bugs,
+		Quarantines:    f.Quarantines,
 	}
 	if doc.VirtualSeconds > 0 {
 		doc.ExecsPerSec = float64(doc.Execs) / doc.VirtualSeconds
 	}
-	ids := make([]int, 0, len(s.shards))
-	for id := range s.shards {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	tiered := s.emulStart >= 0
+	tiered := f.EmulStart >= 0
 	if tiered {
 		doc.Tiers = map[string]Tier{}
 	}
-	for _, id := range ids {
-		st := s.shards[id]
-		ss := ShardStatus{Shard: id, Execs: st.Execs, Edges: st.Edges, Restores: st.Restores, Bugs: st.Bugs}
+	for _, sh := range f.PerShard() {
+		ss := ShardStatus{Shard: sh.Shard, Execs: sh.Execs, Edges: sh.Edges, Restores: sh.Restores, Bugs: sh.Bugs}
 		if tiered {
-			ss.Tier = s.tierOf(id)
+			ss.Tier = "hw"
+			if f.Emul(sh.Shard) {
+				ss.Tier = "emul"
+			}
 			t := doc.Tiers[ss.Tier]
 			t.Shards++
-			t.Execs += st.Execs
+			t.Execs += sh.Execs
 			doc.Tiers[ss.Tier] = t
 		}
 		doc.Shards = append(doc.Shards, ss)
 	}
 	if tiered {
 		t := doc.Tiers["emul"]
-		if d := int(s.enq - s.fin); d > 0 {
-			t.ConfirmQueueDepth = d
-		}
+		t.ConfirmQueueDepth = f.ConfirmQueueDepth()
 		doc.Tiers["emul"] = t
 	}
 	return doc

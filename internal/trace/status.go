@@ -3,46 +3,29 @@ package trace
 import (
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 	"time"
 )
 
-// Status is the live consumer behind `-status-every`: it folds the event
-// stream into campaign counters and prints a one-line summary whenever the
-// configured host interval has elapsed. Unlike the journal path it is
-// attached directly to every shard (mutex-guarded), so the operator sees
-// progress while a fleet epoch is still running; its output is host-time
-// paced and therefore not part of the deterministic trace.
+// Status is the live consumer behind `-status-every`: it prints a one-line
+// summary of a Fold whenever the configured host interval has elapsed.
+// Attached alone it is a Sink that folds the stream itself (mutex-guarded,
+// because every shard emits into it); beside the metrics server it prints
+// from the metrics sink's fold instead, so the campaign keeps one live fold.
+// Either way it sees events as they happen, so the operator sees progress
+// while a fleet epoch is still running; its output is host-time paced and
+// therefore not part of the deterministic trace.
 type Status struct {
 	mu    sync.Mutex
+	fold  Fold // folded by Emit
 	w     io.Writer
 	every time.Duration
 	now   func() time.Time // injectable for tests
 	next  time.Time
 
-	execs       int
-	edges       int // sum of per-shard fresh edges (exact in solo mode)
-	sharedMax   int // fleet-wide total carried by sync-epoch events
-	restores    int
-	bugs        int
-	triaged     int
-	faults      int64
-	retries     int64
-	reconnects  int64
-	quarantines int
-	maxAt       time.Duration
-
-	// Tier breakdown (heterogeneous pools only). emulStart is the first
-	// emulation-tier shard index, or -1 when the pool is untiered.
-	emulStart  int
-	emulExecs  int
-	confirmEnq int // emulation observations queued for hardware confirmation
-	confirmFin int // verdicts drawn from the queue (confirm or diverge)
-
-	lastExecs     int
-	lastEmulExecs int
-	lastAt        time.Duration
+	lastExecs   int
+	lastEmExecs int
+	lastAt      time.Duration
 }
 
 // NewStatus builds a status sink printing to w every host interval (values
@@ -51,7 +34,7 @@ func NewStatus(w io.Writer, every time.Duration) *Status {
 	if every <= 0 {
 		every = 10 * time.Second
 	}
-	return &Status{w: w, every: every, now: time.Now, emulStart: -1}
+	return &Status{fold: NewFold(-1), w: w, every: every, now: time.Now}
 }
 
 // SetEmulStart tells the sink where the emulation tier begins (the first
@@ -61,53 +44,21 @@ func NewStatus(w io.Writer, every time.Duration) *Status {
 func (s *Status) SetEmulStart(start int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.emulStart = start
+	s.fold = NewFold(start)
 }
 
-// Emit folds ev into the counters and prints when the interval is due.
+// Emit folds ev and prints when the interval is due.
 func (s *Status) Emit(ev Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	switch ev.Kind {
-	case ExecEnd:
-		s.execs++
-		if s.emulStart >= 0 && ev.Shard >= s.emulStart {
-			s.emulExecs++
-		}
-	case ConfirmEnqueue:
-		s.confirmEnq++
-	case TierConfirm:
-		s.confirmFin++
-	case TierDiverge:
-		// hw-only-crash divergences are extra verdicts discovered while
-		// replaying a coverage item; they do not retire a queue entry.
-		if !strings.HasPrefix(ev.Reason, "hw-only-crash:") {
-			s.confirmFin++
-		}
-	case CovGain:
-		s.edges += ev.Edges
-	case RestoreBegin:
-		s.restores++
-	case Bug:
-		s.bugs++
-	case TriageEnd:
-		s.triaged++
-	case LinkFault:
-		s.faults++
-	case LinkRetry:
-		s.retries++
-	case LinkReconnect:
-		s.reconnects++
-	case SyncEpoch:
-		if ev.Edges > s.sharedMax {
-			s.sharedMax = ev.Edges
-		}
-	case Quarantine:
-		s.quarantines++
-	}
-	if ev.At > s.maxAt {
-		s.maxAt = ev.At
-	}
+	s.fold.Apply(ev)
+	s.Observe(&s.fold)
+}
+
+// Observe prints a line from f when the interval is due. Calls must not
+// overlap: Emit and the metrics sink each make them under the mutex that
+// guards their fold.
+func (s *Status) Observe(f *Fold) {
 	now := s.now()
 	if s.next.IsZero() {
 		s.next = now.Add(s.every)
@@ -117,50 +68,43 @@ func (s *Status) Emit(ev Event) {
 		return
 	}
 	s.next = now.Add(s.every)
-	s.print()
+	s.print(f)
 }
 
-// print renders one status line. Callers hold the mutex.
-func (s *Status) print() {
+// print renders one status line from f.
+func (s *Status) print(f *Fold) {
 	rate := 0.0
-	if dt := (s.maxAt - s.lastAt).Seconds(); dt > 0 {
-		rate = float64(s.execs-s.lastExecs) / dt
+	dt := (f.VirtualEnd - s.lastAt).Seconds()
+	if dt > 0 {
+		rate = float64(f.Execs-s.lastExecs) / dt
 	}
 	tiers := ""
-	if s.emulStart >= 0 {
+	if f.EmulStart >= 0 {
 		hwRate, emulRate := 0.0, 0.0
-		if dt := (s.maxAt - s.lastAt).Seconds(); dt > 0 {
-			emulRate = float64(s.emulExecs-s.lastEmulExecs) / dt
-			hwRate = float64((s.execs-s.lastExecs)-(s.emulExecs-s.lastEmulExecs)) / dt
+		if dt > 0 {
+			emulRate = float64(f.EmExecs-s.lastEmExecs) / dt
+			hwRate = rate - emulRate
 		}
-		depth := s.confirmEnq - s.confirmFin
-		if depth < 0 {
-			depth = 0
-		}
-		tiers = fmt.Sprintf(" hw=%.1f/s emul=%.1f/s confirmq=%d", hwRate, emulRate, depth)
+		tiers = fmt.Sprintf(" hw=%.1f/s emul=%.1f/s confirmq=%d", hwRate, emulRate, f.ConfirmQueueDepth())
 	}
 	restorePct := 0.0
-	if s.execs > 0 {
-		restorePct = 100 * float64(s.restores) / float64(s.execs)
-	}
-	edges := s.edges
-	if s.sharedMax > edges {
-		edges = s.sharedMax
+	if f.Execs > 0 {
+		restorePct = 100 * float64(f.Restores) / float64(f.Execs)
 	}
 	link := "ok"
-	if s.faults > 0 || s.retries > 0 || s.reconnects > 0 {
-		link = fmt.Sprintf("%d faults, %d retries, %d reconnects", s.faults, s.retries, s.reconnects)
+	if f.LinkFaults > 0 || f.LinkRetries > 0 || f.LinkReconnects > 0 {
+		link = fmt.Sprintf("%d faults, %d retries, %d reconnects", f.LinkFaults, f.LinkRetries, f.LinkReconnects)
 	}
 	health := ""
-	if s.quarantines > 0 {
-		health = fmt.Sprintf(" quarantined=%d", s.quarantines)
+	if f.Quarantines > 0 {
+		health = fmt.Sprintf(" quarantined=%d", f.Quarantines)
 	}
-	if s.triaged > 0 {
-		health += fmt.Sprintf(" triaged=%d", s.triaged)
+	if f.Triaged > 0 {
+		health += fmt.Sprintf(" triaged=%d", f.Triaged)
 	}
 	fmt.Fprintf(s.w, "[eof] t=%v execs=%d (%.1f/s)%s edges=%d restores=%d (%.1f%%/exec) bugs=%d%s link: %s\n",
-		s.maxAt.Round(time.Second), s.execs, rate, tiers, edges, s.restores, restorePct, s.bugs, health, link)
-	s.lastExecs = s.execs
-	s.lastEmulExecs = s.emulExecs
-	s.lastAt = s.maxAt
+		f.VirtualEnd.Round(time.Second), f.Execs, rate, tiers, f.Edges, f.Restores, restorePct, f.Bugs, health, link)
+	s.lastExecs = f.Execs
+	s.lastEmExecs = f.EmExecs
+	s.lastAt = f.VirtualEnd
 }

@@ -11,8 +11,12 @@
 //   - the JSONL journal — a deterministic event stream written one JSON
 //     object per line (fleet shards are buffered per epoch and merged in
 //     shard order, so the journal is reproducible run to run);
-//   - the live status sink — periodic execs/s, edges, restore-rate and
-//     link-health lines while a campaign runs.
+//   - the live sink — one Fold of the stream as it happens, behind the
+//     periodic status line and the metrics server's /metrics and /status.
+//
+// Fold is the one reduction of the stream: the live status line, the
+// metrics server and `eoftrace summary` (folding a replayed journal) all
+// report its fields, so they agree by construction.
 //
 // The package also owns board-time accounting: an Accountant attributes every
 // virtual-clock delta of the debug-link stack to one of the TimeBy categories
