@@ -10,10 +10,12 @@
 // elapsed virtual time, coverage, clusters and per-shard cursors. `-edges`
 // reduces the output to the checkpointed edge count alone, for scripts.
 //
-// `verify` re-runs the full integrity walk — every blob against its content
-// address, the manifest against its schema, the checkpoint rotation against
-// its self-checksum — and reports what was tolerated. Damaged files are
-// quarantined into <dir>/damaged/ exactly as a resuming campaign would.
+// `verify` re-runs the full integrity walk — every manifest line against its
+// schema and its program against the line's SHA-256, the checkpoint rotation
+// against its self-checksum — and reports what was tolerated. Damage is
+// handled exactly as a resuming campaign would: a torn manifest tail is cut
+// off and a corrupt checkpoint quarantined into <dir>/damaged/. Flags may
+// come before or after the command.
 // Exit status: 0 when the store is clean (or recoverably degraded), 1 with
 // -strict when any damage was found, 2 when the store cannot be loaded.
 package main
@@ -38,7 +40,14 @@ func main() {
 		clusters = flag.Bool("clusters", false, "info: also print crash cluster keys")
 	)
 	flag.Parse()
-	if *dir == "" || flag.NArg() != 1 {
+	// The flag package stops at the first non-flag argument, so parse the
+	// flags that follow the command too ("verify -strict"). The command line
+	// exits on a bad flag, so Parse returns no error to handle.
+	cmd := flag.Arg(0)
+	if cmd != "" {
+		_ = flag.CommandLine.Parse(flag.Args()[1:])
+	}
+	if *dir == "" || cmd == "" || flag.NArg() != 0 {
 		fmt.Fprintln(os.Stderr, "usage: eofcorpus -dir <root> [-os <os>] [-board <board>] info|verify")
 		os.Exit(2)
 	}
@@ -54,13 +63,13 @@ func main() {
 		os.Exit(2)
 	}
 
-	switch flag.Arg(0) {
+	switch cmd {
 	case "info":
 		infoMain(s, res, *edges, *cursors, *clusters)
 	case "verify":
 		os.Exit(verifyMain(s, res, *strict))
 	default:
-		fmt.Fprintf(os.Stderr, "eofcorpus: unknown command %q (want info or verify)\n", flag.Arg(0))
+		fmt.Fprintf(os.Stderr, "eofcorpus: unknown command %q (want info or verify)\n", cmd)
 		os.Exit(2)
 	}
 }
@@ -113,8 +122,8 @@ func infoMain(s *corpus.Store, res *corpus.Resume, edgesOnly, cursors, clusters 
 }
 
 // verifyMain reports the integrity walk's findings; Open and LoadResume
-// already performed it (content addresses, manifest schema, checkpoint
-// checksums), quarantining damage and accumulating warnings.
+// already performed it (manifest lines and their program hashes, checkpoint
+// checksums), handling damage and accumulating warnings.
 func verifyMain(s *corpus.Store, res *corpus.Resume, strict bool) int {
 	warns := s.Warnings()
 	ckState := "none"

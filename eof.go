@@ -167,13 +167,14 @@ type Options struct {
 	// attached to every Bug (0 = the default of 64 events).
 	FlightRecorder int
 
-	// CorpusDir, when non-empty, makes the campaign crash-safe: every corpus
-	// admission is written to a content-addressed on-disk store under this
-	// directory (namespaced by OS and board), and the full resumable campaign
-	// state — corpus membership, cumulative coverage, crash clusters,
-	// per-shard RNG cursors and elapsed virtual time — is checkpointed at
-	// every sync barrier with write-ahead, atomically renamed, fsynced
-	// writes. A kill -9 loses at most the epoch in flight. Persistence runs
+	// CorpusDir, when non-empty, makes the campaign crash-safe: at every
+	// sync barrier the epoch's corpus admissions are appended, each program
+	// inline and named by its SHA-256, to an on-disk manifest under this
+	// directory (namespaced by OS and board) with one fsync, and then the
+	// full resumable campaign state — corpus membership, cumulative
+	// coverage, crash clusters, per-shard RNG cursors and elapsed virtual
+	// time — is checkpointed with an atomically renamed, fsynced write. A
+	// kill -9 loses at most the epoch in flight. Persistence runs
 	// between epochs and journals on its own campaign-level stream
 	// (shard -1), so reports and per-shard journals are byte-identical with
 	// it on or off.
@@ -190,15 +191,15 @@ type Options struct {
 	// corpus, checkpointed edges become pre-seen, known crash clusters are
 	// not re-reported, and the RNG continues from the checkpoint's recorded
 	// cursor, so resuming twice from the same checkpoint explores
-	// identically. Corrupt or torn store files are quarantined under
-	// <CorpusDir>/damaged/ and the campaign degrades to the previous good
-	// checkpoint instead of failing.
+	// identically. A torn or damaged manifest line is dropped, a corrupt
+	// checkpoint is quarantined under <CorpusDir>/damaged/, and the campaign
+	// degrades to the previous good checkpoint instead of failing.
 	Resume bool
 	// DistillEvery, when positive, distills the on-disk store every that
 	// many checkpoints: the manifest is rewritten to a minimal set of
 	// entries covering the union of attributed edges (greedy set cover in
-	// admission order) and unreferenced blobs are removed. Only the store
-	// shrinks — the running campaign's in-memory corpus is untouched.
+	// admission order). Only the store shrinks — the running campaign's
+	// in-memory corpus is untouched.
 	DistillEvery int
 
 	// Health tunes the escalating recovery ladder and the per-board health
@@ -492,8 +493,9 @@ type PersistReport struct {
 	ResumedSeeds int
 	PriorEpochs  int
 	PriorElapsed time.Duration
-	// Warnings lists recoverable store damage encountered (torn manifest
-	// lines, corrupt blobs or checkpoints — all quarantined, none fatal).
+	// Warnings lists recoverable store damage encountered (torn or damaged
+	// manifest lines, which are dropped, and corrupt checkpoints, which are
+	// quarantined; none fatal).
 	Warnings []string
 }
 
@@ -780,7 +782,7 @@ func (o Options) Layout() trace.Header {
 // buildResumeDelta converts persisted store state into the sync delta that
 // re-seeds a campaign: the checkpoint's cumulative edges plus every verified
 // corpus entry (manifest entries persisted after the last checkpoint
-// included — work from the interrupted epoch is kept, never lost). A blob
+// included — work from the interrupted epoch is kept, never lost). A program
 // that no longer parses under the current spec is skipped; the hash check in
 // the store already proved it undamaged, so a parse failure means the spec
 // drifted, not the disk.

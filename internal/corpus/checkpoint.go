@@ -54,8 +54,8 @@ type Checkpoint struct {
 	Epoch   int           `json:"epoch"`
 	Elapsed time.Duration `json:"elapsed_ns"`
 	// Edges is the cumulative coverage bitmap (sorted distinct edge IDs);
-	// Corpus is the store membership in admission order (hashes into
-	// blobs/); Clusters are the known crash-dedup keys, sorted.
+	// Corpus is the store membership in admission order (the hashes of
+	// manifest entries); Clusters are the known crash-dedup keys, sorted.
 	Edges    []uint32 `json:"edges"`
 	Corpus   []string `json:"corpus"`
 	Clusters []string `json:"clusters"`
@@ -119,8 +119,9 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 // WriteCheckpoint makes ck durable under the rotation protocol: the current
 // checkpoint (if any) is first rotated to checkpoint.prev.json, then the new
 // one is written atomically (temp + fsync + rename + directory fsync). Every
-// blob and manifest line ck references must already be durable — Persister
-// guarantees that ordering.
+// manifest line ck references must already be durable — Persister
+// guarantees that ordering — and the directory fsync also makes a newly
+// created manifest's directory entry durable.
 func (s *Store) WriteCheckpoint(ck *Checkpoint) error {
 	ck.OS, ck.Board = s.os, s.brd
 	data, err := EncodeCheckpoint(ck)
@@ -133,7 +134,7 @@ func (s *Store) WriteCheckpoint(ck *Checkpoint) error {
 			return fmt.Errorf("corpus: checkpoint rotate: %w", err)
 		}
 	}
-	if err := writeFileSync(cur, data); err != nil {
+	if err := WriteFileAtomic(cur, data); err != nil {
 		return fmt.Errorf("corpus: checkpoint: %w", err)
 	}
 	return nil
@@ -176,14 +177,14 @@ func (s *Store) checkpointPrevPath() string { return filepath.Join(s.dir, "check
 // checkpoint (nil when the store never completed a barrier) and the verified
 // corpus entries in admission order. Entries past the checkpoint's corpus
 // list — admitted in the epoch a crash interrupted — are included: their
-// blobs verified, so they are usable coverage the crashed run paid for.
+// lines verified, so they are usable coverage the crashed run paid for.
 type Resume struct {
 	Ck      *Checkpoint
 	Entries []*Entry
 }
 
 // LoadResume loads the store's resumable state, degrading (with warnings on
-// the store) through torn manifests, damaged blobs and corrupt checkpoints.
+// the store) through torn or damaged manifest lines and corrupt checkpoints.
 // Checkpoint corpus hashes whose entries did not survive verification are
 // reported as warnings; the checkpoint's coverage bitmap remains valid — the
 // edges were truly observed even if a seed that found them was lost.

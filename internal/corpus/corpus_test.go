@@ -1,6 +1,8 @@
 package corpus
 
 import (
+	"bytes"
+	"encoding/base64"
 	"os"
 	"path/filepath"
 	"strings"
@@ -31,14 +33,14 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !added {
+	if added != 1 {
 		t.Fatal("first Put reported a duplicate")
 	}
-	if added, _ := s.Put(testEntry(`{"calls":[1]}`, 3, 99)); added {
-		t.Fatal("identical blob admitted twice")
+	if added, _ := s.Put(testEntry(`{"calls":[1]}`, 3, 99)); added != 0 {
+		t.Fatal("identical program admitted twice")
 	}
-	if added, _ := s.Put(testEntry(`{"calls":[2]}`, 1, 12)); !added {
-		t.Fatal("distinct blob rejected")
+	if added, _ := s.Put(testEntry(`{"calls":[2]}`, 1, 12)); added != 1 {
+		t.Fatal("distinct program rejected")
 	}
 	if s.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", s.Len())
@@ -61,6 +63,33 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	if es[0].Shard != 0 || es[0].NewEdges != 2 || es[0].Edges[1] != 11 {
 		t.Fatalf("provenance lost: %+v", es[0])
+	}
+}
+
+func TestPutOneAppendPerCall(t *testing.T) {
+	root := t.TempDir()
+	s, err := Open(root, "freertos", "stm32h745")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Put(testEntry("a", 0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	// "a" is already stored and "b" repeats within the call: one line each
+	// for "b" and "c".
+	added, err := s.Put(testEntry("a", 1, 1), testEntry("b", 0, 2), testEntry("c", 1, 3), testEntry("b", 1, 2))
+	if err != nil || added != 2 {
+		t.Fatalf("Put = %d, %v; want 2 added", added, err)
+	}
+	if _, err := s.Put(testEntry("d", 0, 4), Entry{}); err == nil || s.Len() != 3 {
+		t.Fatalf("Put with an empty program = %v, Len %d; want an error and nothing added", err, s.Len())
+	}
+	data, err := os.ReadFile(filepath.Join(s.Dir(), "manifest.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(data, []byte("\n")); n != 3 {
+		t.Fatalf("manifest holds %d lines, want 3", n)
 	}
 }
 
@@ -113,8 +142,8 @@ func TestTornManifestTailTruncates(t *testing.T) {
 	if len(s2.Warnings()) == 0 || !strings.Contains(s2.Warnings()[0], "truncating") {
 		t.Fatalf("torn tail produced no truncation warning: %v", s2.Warnings())
 	}
-	// The torn line is gone for good after the next Put rewrites nothing —
-	// appends continue past it, and reopen must keep ignoring the tear.
+	// Open cut the torn bytes off the file, so the next append starts on a
+	// line boundary and survives a reopen.
 	if _, err := s2.Put(testEntry("three", 1, 3)); err != nil {
 		t.Fatal(err)
 	}
@@ -122,48 +151,114 @@ func TestTornManifestTailTruncates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s3.Len() != 1 {
-		// The append landed after the torn line, so replay still stops at the
-		// tear: entries after a torn record are unreachable by design (the
-		// writer that follows a reopen starts from the truncated state).
-		t.Logf("post-tear entries: %d (tail after tear ignored)", s3.Len())
+	if s3.Len() != 2 {
+		t.Fatalf("post-tear entries: %d, want 2 (the admission after the tear was lost): %v", s3.Len(), s3.Warnings())
 	}
 }
 
-func TestDamagedBlobQuarantined(t *testing.T) {
+// TestTornAppendEveryOffset cuts the manifest at every byte offset inside one
+// Put's append, as a crash mid-write would. Every cut must open, load exactly
+// the entries whose lines are whole, and leave a store whose next Put
+// survives a reopen with no warning.
+func TestTornAppendEveryOffset(t *testing.T) {
 	root := t.TempDir()
 	s, err := Open(root, "freertos", "stm32h745")
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := testEntry("victim", 0, 1)
-	if _, err := s.Put(e); err != nil {
+	if _, err := s.Put(testEntry("one", 0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	mp := filepath.Join(s.Dir(), "manifest.jsonl")
+	before, err := os.ReadFile(mp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if added, err := s.Put(testEntry("two", 0, 2), testEntry("three", 1, 3)); err != nil || added != 2 {
+		t.Fatalf("Put = %d, %v; want 2 added", added, err)
+	}
+	data, err := os.ReadFile(mp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cutRoot := t.TempDir()
+	cutMP := filepath.Join(cutRoot, "freertos", "stm32h745", "manifest.jsonl")
+	if err := os.MkdirAll(filepath.Dir(cutMP), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for cut := len(before); cut <= len(data); cut++ {
+		if err := os.WriteFile(cutMP, data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		whole := bytes.Count(data[:cut], []byte("\n"))
+		c, err := Open(cutRoot, "freertos", "stm32h745")
+		if err != nil {
+			t.Fatalf("cut %d: Open: %v", cut, err)
+		}
+		if c.Len() != whole {
+			t.Fatalf("cut %d: loaded %d entries, want the %d whole lines", cut, c.Len(), whole)
+		}
+		if _, err := c.Put(testEntry("four", 2, 4)); err != nil {
+			t.Fatalf("cut %d: Put: %v", cut, err)
+		}
+		r, err := Open(cutRoot, "freertos", "stm32h745")
+		if err != nil {
+			t.Fatalf("cut %d: reopen: %v", cut, err)
+		}
+		if r.Len() != whole+1 || len(r.Warnings()) != 0 {
+			t.Fatalf("cut %d: reopen kept %d entries (want %d), warnings %v", cut, r.Len(), whole+1, r.Warnings())
+		}
+	}
+}
+
+func TestOpenRefusesBlobLayout(t *testing.T) {
+	root := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(root, "freertos", "stm32h745", "blobs"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Open(root, "freertos", "stm32h745")
+	if err == nil || !strings.Contains(err.Error(), "blobs/") {
+		t.Fatalf("Open of a store with blobs/ = %v, want an error naming that layout", err)
+	}
+}
+
+func TestDamagedEntryDropped(t *testing.T) {
+	root := t.TempDir()
+	s, err := Open(root, "freertos", "stm32h745")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Put(testEntry("victim", 0, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Put(testEntry("innocent", 0, 2)); err != nil {
 		t.Fatal(err)
 	}
-	hash := HashBlob([]byte("victim"))
-	bp := filepath.Join(s.Dir(), "blobs", hash+".json")
-	if err := os.WriteFile(bp, []byte("bitrot"), 0o644); err != nil {
+	// Flip one character of the victim's program encoding: the line still
+	// decodes, but its program no longer hashes to its name.
+	mp := filepath.Join(s.Dir(), "manifest.jsonl")
+	data, err := os.ReadFile(mp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := []byte(`"prog":"` + base64.StdEncoding.EncodeToString([]byte("victim")))
+	i := bytes.Index(data, enc)
+	if i < 0 {
+		t.Fatalf("victim's program encoding not found in %q", data)
+	}
+	data[i+len(`"prog":"`)] = 'e' // "dmljdGlt" becomes "emljdGlt"
+	if err := os.WriteFile(mp, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := Open(root, "freertos", "stm32h745")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.Len() != 1 {
-		t.Fatalf("Len = %d, want 1 (damaged entry dropped)", s2.Len())
+	if s2.Len() != 1 || string(s2.Entries()[0].Prog) != "innocent" {
+		t.Fatalf("Len = %d, want 1 (damaged entry dropped, the other kept)", s2.Len())
 	}
-	if len(s2.Warnings()) == 0 {
-		t.Fatal("damaged blob produced no warning")
-	}
-	if _, err := os.Stat(bp); !os.IsNotExist(err) {
-		t.Fatal("damaged blob still in blobs/ after quarantine")
-	}
-	matches, _ := filepath.Glob(filepath.Join(root, "damaged", "*"))
-	if len(matches) != 1 {
-		t.Fatalf("damaged/ holds %d files, want 1", len(matches))
+	if len(s2.Warnings()) != 1 || !strings.Contains(s2.Warnings()[0], "does not hash") {
+		t.Fatalf("damaged entry produced warnings %v, want one hash mismatch", s2.Warnings())
 	}
 }
 
@@ -287,10 +382,7 @@ func TestDistillMinimalCover(t *testing.T) {
 	if s.Len() != 1 || string(s.Entries()[0].Prog) != "c" {
 		t.Fatalf("survivor is %q, want the covering entry", s.Entries()[0].Prog)
 	}
-	// Dropped blobs removed, survivor intact, rewrite durable across reopen.
-	if _, err := os.Stat(filepath.Join(s.Dir(), "blobs", HashBlob([]byte("a"))+".json")); !os.IsNotExist(err) {
-		t.Fatal("dropped blob still on disk")
-	}
+	// Survivor intact, rewrite durable across reopen.
 	s2, err := Open(root, "freertos", "stm32h745")
 	if err != nil {
 		t.Fatal(err)
@@ -471,7 +563,7 @@ func TestLoadResumeKeepsManifestTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	// An admission persisted after the checkpoint (the crash-interrupted
-	// epoch): blob + manifest line durable, checkpoint never written.
+	// epoch): manifest line durable, checkpoint never written.
 	if _, err := s.Put(testEntry("tail", 0, 2)); err != nil {
 		t.Fatal(err)
 	}

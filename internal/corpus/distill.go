@@ -1,18 +1,15 @@
 package corpus
 
-import (
-	"fmt"
-	"os"
-)
+import "fmt"
 
 // Distill shrinks the store to a minimal covering set: a greedy set cover
 // over the union of the entries' attributed edges (the classic corpus
 // minimization, metadata-only — no board replays needed because every
 // admission carries its fresh-edge attribution). Kept entries preserve
-// admission order; dropped entries are removed from the manifest atomically
-// (temp + fsync + rename) before their blobs are deleted, so a crash
-// mid-distill leaves at worst orphan blobs, never a manifest pointing at
-// nothing. Returns how many entries were kept and dropped.
+// admission order; the manifest is rewritten with only them atomically
+// (temp + fsync + rename + directory fsync), so a crash mid-distill leaves
+// either the old manifest or the new one. Returns how many entries were kept
+// and dropped.
 //
 // The selection is deterministic: the entry covering the most still-uncovered
 // edges wins each round, ties broken by admission order. Entries whose every
@@ -65,26 +62,16 @@ func (s *Store) Distill() (kept, dropped int, err error) {
 	if err := s.rewriteManifest(keep); err != nil {
 		return 0, 0, err
 	}
-	// Manifest is durable without the dropped entries; now the blobs are
-	// orphans and can go. Best effort — a leftover blob is harmless.
-	var droppedHashes []string
-	for _, h := range s.order {
-		if !keep[h] {
-			droppedHashes = append(droppedHashes, h)
-		}
-	}
 	newOrder := make([]string, 0, len(keep))
 	for _, h := range s.order {
 		if keep[h] {
 			newOrder = append(newOrder, h)
+		} else {
+			delete(s.entries, h)
 		}
 	}
 	s.order = newOrder
-	for _, h := range droppedHashes {
-		delete(s.entries, h)
-		_ = os.Remove(s.blobPath(h))
-	}
-	return len(s.order), len(droppedHashes), nil
+	return len(s.order), n - len(s.order), nil
 }
 
 // rewriteManifest atomically replaces the manifest with the kept entries in
@@ -96,7 +83,7 @@ func (s *Store) rewriteManifest(keep map[string]bool) error {
 			buf = AppendManifestLine(buf, s.entries[h])
 		}
 	}
-	if err := writeFileSync(s.manifestPath(), buf); err != nil {
+	if err := WriteFileAtomic(s.manifestPath(), buf); err != nil {
 		return fmt.Errorf("corpus: distill manifest rewrite: %w", err)
 	}
 	return nil

@@ -7,42 +7,49 @@ import (
 )
 
 // FuzzParseManifestLine throws arbitrary bytes at the manifest line decoder.
-// It must never panic, and any line it accepts must survive a re-encode /
-// re-parse round trip unchanged — a half-written manifest line can only ever
-// surface as an error (which the loader turns into truncation), never as a
-// silently different entry.
+// It must never panic, and any line it accepts must carry a non-empty
+// program that hashes to the line's hash and must re-encode to exactly the
+// input bytes — a damaged or half-written manifest line can only ever
+// surface as an error (which the loader turns into a dropped line), never as
+// a silently different entry.
 func FuzzParseManifestLine(f *testing.F) {
 	seed := &Entry{
-		Hash:     HashBlob([]byte("prog")),
+		Hash:     HashProg([]byte("prog")),
+		Prog:     []byte("prog"),
 		NewEdges: 3,
 		Edges:    []uint32{1, 7, 9},
 		Shard:    2,
 		Epoch:    5,
 		At:       3 * time.Second,
 	}
+	mismatch := *seed
+	mismatch.Prog = []byte("gorp")
 	f.Add(bytes.TrimRight(AppendManifestLine(nil, seed), "\n"))
+	f.Add(bytes.TrimRight(AppendManifestLine(nil, &mismatch), "\n"))
+	f.Add([]byte(`{"hash":"` + HashProg(nil) + `","shard":-1}`))
+	f.Add([]byte(`{"hash":"` + seed.Hash + `","new_edges":3,"edges":[1,7,9],"shard":2,"epoch":5,"at_ns":3000000000}`))
 	f.Add([]byte(`{"hash":"zz"}`))
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"hash":"` + HashBlob(nil) + `","shard":-1}`))
 	f.Add([]byte(`not json at all`))
 	f.Fuzz(func(t *testing.T, line []byte) {
 		e, err := ParseManifestLine(line)
 		if err != nil {
 			return
 		}
-		if len(e.Hash) != 64 {
-			t.Fatalf("accepted entry with malformed hash %q", e.Hash)
+		if len(e.Prog) == 0 || HashProg(e.Prog) != e.Hash {
+			t.Fatalf("accepted entry whose program does not hash to %q: %q", e.Hash, e.Prog)
 		}
 		if e.NewEdges < 0 || e.Epoch < 0 || e.At < 0 || e.Shard < -1 {
 			t.Fatalf("accepted entry with negative provenance: %+v", e)
 		}
 		enc := AppendManifestLine(nil, e)
-		e2, err := ParseManifestLine(bytes.TrimRight(enc, "\n"))
+		if !bytes.Equal(enc[:len(enc)-1], line) {
+			t.Fatalf("accepted line does not re-encode byte for byte: %q -> %q", line, enc)
+		}
+		e2, err := ParseManifestLine(enc[:len(enc)-1])
 		if err != nil {
 			t.Fatalf("accepted entry does not re-parse: %v", err)
 		}
-		enc2 := AppendManifestLine(nil, e2)
-		if !bytes.Equal(enc, enc2) {
+		if enc2 := AppendManifestLine(nil, e2); !bytes.Equal(enc, enc2) {
 			t.Fatalf("round trip changed entry: %q -> %q", enc, enc2)
 		}
 	})
@@ -61,7 +68,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		Epoch:    3,
 		Elapsed:  90 * time.Second,
 		Edges:    []uint32{1, 2, 3},
-		Corpus:   []string{HashBlob([]byte("p"))},
+		Corpus:   []string{HashProg([]byte("p"))},
 		Clusters: []string{"hf:0x2000_pc:0x8000"},
 		Cursors:  []ShardCursor{{Shard: 0, Seed: 99, Execs: 1000}},
 		Distills: 1,

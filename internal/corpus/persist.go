@@ -31,7 +31,7 @@ type PersisterOptions struct {
 }
 
 // Admission is one corpus admission handed to the persister at a barrier:
-// the program blob in portable JSON form plus its coverage attribution.
+// the program in portable JSON form plus its coverage attribution.
 type Admission struct {
 	Prog     []byte
 	NewEdges int
@@ -70,10 +70,11 @@ type PersistStats struct {
 }
 
 // Persister drives a Store at fleet epoch barriers: it makes every broadcast
-// admission durable (blob, then manifest — write-ahead), distills the store
-// at the configured cadence, and snapshots the resumable campaign state as a
-// rotated, checksummed checkpoint. All I/O happens between epochs on the
-// supervisor goroutine, so persistence never perturbs engine determinism.
+// admission durable (one manifest append, write-ahead of the checkpoint),
+// distills the store at the configured cadence, and snapshots the resumable
+// campaign state as a rotated, checksummed checkpoint. All I/O happens
+// between epochs on the supervisor goroutine, so persistence never perturbs
+// engine determinism.
 type Persister struct {
 	s      *Store
 	opts   PersisterOptions
@@ -120,29 +121,30 @@ func (p *Persister) Stats() PersistStats {
 	return st
 }
 
-// Barrier persists one completed epoch: admissions first (write-ahead), then
-// an optional distillation, then the checkpoint that commits it all. Called
-// on the fleet supervisor goroutine between epoch slices.
+// Barrier persists one completed epoch: the admissions first, in one store
+// call (write-ahead), then an optional distillation, then the checkpoint
+// that commits it all. Called on the fleet supervisor goroutine between
+// epoch slices.
 func (p *Persister) Barrier(b Barrier) error {
 	epoch := p.opts.PriorEpochs + b.Epoch
 	at := p.opts.PriorElapsed + b.Elapsed
 	p.clock.Advance(at - p.clock.Now())
-	for _, a := range b.Admissions {
-		added, err := p.s.Put(Entry{
+	es := make([]Entry, len(b.Admissions))
+	for i, a := range b.Admissions {
+		es[i] = Entry{
 			Prog:     a.Prog,
 			NewEdges: a.NewEdges,
 			Edges:    a.Edges,
 			Shard:    a.Shard,
 			Epoch:    epoch,
 			At:       at,
-		})
-		if err != nil {
-			return err
-		}
-		if added {
-			p.stats.Admitted++
 		}
 	}
+	added, err := p.s.Put(es...)
+	if err != nil {
+		return err
+	}
+	p.stats.Admitted += added
 	for _, c := range b.Clusters {
 		p.clusters[c] = true
 	}

@@ -1,5 +1,5 @@
-// Package corpus is the campaign persistence layer: a content-addressed
-// on-disk corpus store plus an epoch-checkpoint format that together make a
+// Package corpus is the campaign persistence layer: an append-only on-disk
+// corpus store plus an epoch-checkpoint format that together make a
 // fuzzing campaign crash-safe. Everything the in-memory campaign accumulates
 // — coverage-increasing programs with their edge attribution, the cumulative
 // coverage bitmap, crash dedup clusters, elapsed virtual time and per-shard
@@ -9,31 +9,33 @@
 // On-disk layout, namespaced per target so one store root can accumulate
 // corpora for many OS/board pairs:
 //
-//	<root>/<os>/<board>/blobs/<sha256>.json   program blobs (portable JSON form)
-//	<root>/<os>/<board>/manifest.jsonl        append-only admission provenance
+//	<root>/<os>/<board>/manifest.jsonl        the corpus: one line per program, inline
 //	<root>/<os>/<board>/checkpoint.json       last epoch-barrier checkpoint
 //	<root>/<os>/<board>/checkpoint.prev.json  the rotation's previous checkpoint
-//	<root>/damaged/                           quarantined corrupt/torn files
+//	<root>/damaged/                           quarantined corrupt checkpoints
 //
-// Crash-consistency protocol (write-ahead ordering): blobs are written to a
-// temp file, fsynced and atomically renamed into place before their manifest
-// line is appended and fsynced; the checkpoint is only written (temp + fsync
-// + rename + directory fsync) after every blob and manifest line it
-// references is durable. A reader therefore interprets the store as: the
-// checkpoint is authoritative for coverage, clusters, elapsed time and RNG
-// cursors; the manifest is authoritative for corpus membership (a manifest
-// tail past the checkpoint is a bonus from the interrupted epoch, a torn
-// final manifest line is discarded with a warning); orphan blobs are
-// harmless. Corrupt files detected by checksum are quarantined into
-// <root>/damaged/ and the campaign degrades to the last good state instead
-// of failing.
+// Crash-consistency protocol (write-ahead ordering): a barrier's new
+// programs are appended to the manifest in one write and one fsync; the
+// checkpoint is only written (temp + fsync + rename + directory fsync) after
+// every manifest line it references is durable, and that directory fsync
+// also makes a newly created manifest's directory entry durable. A reader
+// therefore interprets the store as: the checkpoint is authoritative for
+// coverage, clusters, elapsed time and RNG cursors; the manifest is
+// authoritative for corpus membership (lines past the checkpoint are a bonus
+// from the interrupted epoch). Each line names its program by SHA-256, so a
+// damaged line fails verification and is dropped alone with a warning; a
+// torn final line is cut off the file on load. A corrupt checkpoint is
+// quarantined into <root>/damaged/ and the campaign degrades to the last
+// good state instead of failing. A namespace that still holds blobs/, the
+// older layout with one file per program, is refused.
 package corpus
 
 import (
-	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -41,12 +43,13 @@ import (
 	"time"
 )
 
-// Entry is one persisted corpus admission: a program blob plus the
-// provenance recorded in the manifest.
+// Entry is one persisted corpus admission: a program plus the provenance
+// recorded beside it on its manifest line.
 type Entry struct {
-	// Hash is the blob's SHA-256 (hex) — its content address and identity.
+	// Hash is the program's SHA-256 (hex): its identity, checked against
+	// the program whenever the line is loaded.
 	Hash string
-	// Prog is the program in portable JSON form (the blob's content).
+	// Prog is the program in portable JSON form.
 	Prog []byte
 	// NewEdges is how many globally new edges the seed contributed at
 	// admission; Edges lists those edge IDs (the attribution distillation
@@ -61,8 +64,9 @@ type Entry struct {
 	At    time.Duration
 }
 
-// manifestLine is Entry's JSONL wire form (the blob itself lives under
-// blobs/, keyed by Hash).
+// manifestLine is Entry's JSONL wire form. Prog is a []byte, which JSON
+// carries as base64, so any program round-trips to exactly the bytes Hash
+// names.
 type manifestLine struct {
 	Hash     string   `json:"hash"`
 	NewEdges int      `json:"new_edges"`
@@ -70,6 +74,7 @@ type manifestLine struct {
 	Shard    int      `json:"shard"`
 	Epoch    int      `json:"epoch"`
 	AtNS     int64    `json:"at_ns"`
+	Prog     []byte   `json:"prog"`
 }
 
 // Store is one open per-target namespace of an on-disk corpus root.
@@ -84,17 +89,16 @@ type Store struct {
 	warnings []string
 }
 
-// HashBlob returns the content address of a program blob.
-func HashBlob(blob []byte) string {
-	sum := sha256.Sum256(blob)
+// HashProg returns the name of a program: the hex SHA-256 of its bytes.
+func HashProg(prog []byte) string {
+	sum := sha256.Sum256(prog)
 	return hex.EncodeToString(sum[:])
 }
 
 // Open opens (creating as needed) the store namespace for one OS/board pair
-// and loads its manifest. Torn or corrupt manifest tails and blobs that fail
-// their content-address check are tolerated: the bad record is dropped (and
-// a damaged blob quarantined), a warning is recorded, and the store carries
-// on with every verified entry.
+// and loads its manifest. A torn final manifest line is cut off the file and
+// a line that fails verification is dropped; each leaves a warning, and the
+// store carries on with every verified entry.
 func Open(root, osName, board string) (*Store, error) {
 	return openDir(root, filepath.Join(root, osName, board), osName, board)
 }
@@ -136,6 +140,9 @@ func ValidNamespace(ns string) bool {
 }
 
 func openDir(root, dir, osName, board string) (*Store, error) {
+	if _, err := os.Stat(filepath.Join(dir, "blobs")); err == nil {
+		return nil, fmt.Errorf("corpus: %s holds blobs/, the older one-file-per-program layout, which this build does not read", dir)
+	}
 	s := &Store{
 		root:    root,
 		dir:     dir,
@@ -143,7 +150,7 @@ func openDir(root, dir, osName, board string) (*Store, error) {
 		brd:     board,
 		entries: make(map[string]*Entry),
 	}
-	for _, d := range []string{filepath.Join(s.dir, "blobs"), filepath.Join(root, "damaged")} {
+	for _, d := range []string{dir, filepath.Join(root, "damaged")} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
 			return nil, fmt.Errorf("corpus: %w", err)
 		}
@@ -170,88 +177,83 @@ func (s *Store) Entries() []*Entry {
 }
 
 // Warnings returns the degradations Open tolerated (torn manifest tail,
-// quarantined blobs, checkpoint fallback), in detection order.
+// dropped manifest lines, checkpoint fallback), in detection order.
 func (s *Store) Warnings() []string { return s.warnings }
 
 func (s *Store) warnf(format string, args ...any) {
 	s.warnings = append(s.warnings, fmt.Sprintf(format, args...))
 }
 
-// loadManifest replays manifest.jsonl, verifying each referenced blob
-// against its content address. A line that fails to decode truncates the
-// manifest there (torn tail from a crashed writer); a blob that is missing
-// or hash-mismatched drops its entry and quarantines the damaged file.
+// loadManifest replays manifest.jsonl. Bytes after the last newline are a
+// torn append from a crashed writer: they are cut off the file, so the next
+// append starts on a line boundary. A whole line that fails to decode or
+// verify is dropped alone; the lines after it are still read.
 func (s *Store) loadManifest() error {
-	f, err := os.Open(s.manifestPath())
+	data, err := os.ReadFile(s.manifestPath())
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil
 		}
 		return fmt.Errorf("corpus: %w", err)
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 8*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
+	whole := bytes.LastIndexByte(data, '\n') + 1
+	lines := bytes.Split(data[:whole], []byte("\n"))
+	if whole < len(data) {
+		s.warnf("manifest line %d: torn tail of %d bytes (truncating manifest there)", len(lines), len(data)-whole)
+		if err := os.Truncate(s.manifestPath(), int64(whole)); err != nil {
+			return fmt.Errorf("corpus: manifest: %w", err)
+		}
+	}
+	for i, line := range lines {
 		if len(line) == 0 {
 			continue
 		}
 		e, err := ParseManifestLine(line)
 		if err != nil {
-			// A torn or corrupt line invalidates everything after it: the
-			// manifest is append-only, so whatever follows was written even
-			// later by the same interrupted writer.
-			s.warnf("manifest line %d: %v (truncating manifest there)", lineNo, err)
-			break
-		}
-		if prior, ok := s.entries[e.Hash]; ok {
-			// Re-admissions can appear when two shards broadcast the same
-			// program; the first record wins, keeping admission order stable.
-			_ = prior
+			s.warnf("manifest line %d: %v (dropped)", i+1, err)
 			continue
 		}
-		blob, err := s.readBlob(e.Hash)
-		if err != nil {
-			s.warnf("entry %s: %v (dropped)", shortHash(e.Hash), err)
+		if _, ok := s.entries[e.Hash]; ok {
+			// The first record of a program wins, keeping admission order
+			// stable.
 			continue
 		}
-		e.Prog = blob
 		s.entries[e.Hash] = e
 		s.order = append(s.order, e.Hash)
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("corpus: manifest: %w", err)
 	}
 	return nil
 }
 
-// ParseManifestLine decodes and validates one manifest JSONL record. The
-// blob content is not loaded (Entry.Prog stays nil).
+// ParseManifestLine decodes and verifies one manifest JSONL record (without
+// its newline). The program must be non-empty and hash to the record's
+// hash, and the line must be exactly what AppendManifestLine writes for the
+// entry, so an accepted line stores one program under its own name.
 func ParseManifestLine(line []byte) (*Entry, error) {
 	var ml manifestLine
 	if err := json.Unmarshal(line, &ml); err != nil {
 		return nil, fmt.Errorf("bad manifest record: %w", err)
 	}
-	if len(ml.Hash) != sha256.Size*2 {
-		return nil, fmt.Errorf("bad manifest record: hash %q is not a sha256", ml.Hash)
+	switch {
+	case len(ml.Prog) == 0:
+		return nil, errors.New("bad manifest record: no program")
+	case HashProg(ml.Prog) != ml.Hash:
+		return nil, fmt.Errorf("bad manifest record: program does not hash to %q", shortHash(ml.Hash))
+	case ml.NewEdges < 0 || ml.Shard < -1 || ml.Epoch < 0 || ml.AtNS < 0:
+		return nil, errors.New("bad manifest record: negative field")
 	}
-	if _, err := hex.DecodeString(ml.Hash); err != nil {
-		return nil, fmt.Errorf("bad manifest record: hash %q is not hex", ml.Hash)
-	}
-	if ml.NewEdges < 0 || ml.Shard < -1 || ml.Epoch < 0 || ml.AtNS < 0 {
-		return nil, fmt.Errorf("bad manifest record: negative field")
-	}
-	return &Entry{
+	e := &Entry{
 		Hash:     ml.Hash,
+		Prog:     ml.Prog,
 		NewEdges: ml.NewEdges,
 		Edges:    ml.Edges,
 		Shard:    ml.Shard,
 		Epoch:    ml.Epoch,
 		At:       time.Duration(ml.AtNS),
-	}, nil
+	}
+	if enc := AppendManifestLine(nil, e); !bytes.Equal(enc[:len(enc)-1], line) {
+		return nil, errors.New("bad manifest record: not in canonical form")
+	}
+	return e, nil
 }
 
 // AppendManifestLine appends e's manifest JSONL form (with trailing newline)
@@ -264,56 +266,48 @@ func AppendManifestLine(b []byte, e *Entry) []byte {
 		Shard:    e.Shard,
 		Epoch:    e.Epoch,
 		AtNS:     int64(e.At),
+		Prog:     e.Prog,
 	})
 	if err != nil {
-		// manifestLine holds only scalars and a slice; Marshal cannot fail.
+		// manifestLine holds only scalars and slices; Marshal cannot fail.
 		panic("corpus: manifest marshal: " + err.Error())
 	}
 	b = append(b, enc...)
 	return append(b, '\n')
 }
 
-// readBlob loads and content-verifies one blob; a hash mismatch quarantines
-// the damaged file.
-func (s *Store) readBlob(hash string) ([]byte, error) {
-	path := s.blobPath(hash)
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("blob missing: %w", err)
-	}
-	if got := HashBlob(blob); got != hash {
-		s.quarantine(path)
-		return nil, fmt.Errorf("blob content hash %s does not match name (quarantined)", shortHash(got))
-	}
-	return blob, nil
-}
-
-// Put persists one admission: the blob is made durable first (temp + fsync +
-// atomic rename), then its manifest line is appended and fsynced — the
-// write-ahead order that lets a crash at any point leave the store loadable.
-// A blob already present (same content found by another shard or epoch) is
-// deduplicated; Put reports whether a new entry was admitted.
-func (s *Store) Put(e Entry) (bool, error) {
-	if e.Hash == "" {
-		e.Hash = HashBlob(e.Prog)
-	}
-	if _, ok := s.entries[e.Hash]; ok {
-		return false, nil
-	}
-	bp := s.blobPath(e.Hash)
-	if _, err := os.Stat(bp); err != nil {
-		// Not already durable from an interrupted epoch: write it now.
-		if err := writeFileSync(bp, e.Prog); err != nil {
-			return false, fmt.Errorf("corpus: blob %s: %w", shortHash(e.Hash), err)
+// Put admits the entries whose programs the store does not hold yet (a
+// program already stored, or repeated within es, is deduplicated), naming
+// each by HashProg. Their lines go to the manifest in one append with one
+// fsync, so a barrier's admissions cost one write. Put reports how many
+// entries it added; on error it adds none.
+func (s *Store) Put(es ...Entry) (added int, err error) {
+	n := len(s.order)
+	var buf []byte
+	for _, e := range es {
+		if len(e.Prog) == 0 {
+			err = errors.New("empty program")
+			break
 		}
+		e.Hash = HashProg(e.Prog)
+		if _, ok := s.entries[e.Hash]; ok {
+			continue
+		}
+		s.entries[e.Hash] = &e
+		s.order = append(s.order, e.Hash)
+		buf = AppendManifestLine(buf, &e)
 	}
-	if err := appendFileSync(s.manifestPath(), AppendManifestLine(nil, &e)); err != nil {
-		return false, fmt.Errorf("corpus: manifest: %w", err)
+	if err == nil && len(buf) > 0 {
+		err = appendFileSync(s.manifestPath(), buf)
 	}
-	ne := e
-	s.entries[e.Hash] = &ne
-	s.order = append(s.order, e.Hash)
-	return true, nil
+	if err != nil {
+		for _, h := range s.order[n:] {
+			delete(s.entries, h)
+		}
+		s.order = s.order[:n]
+		return 0, fmt.Errorf("corpus: manifest: %w", err)
+	}
+	return len(s.order) - n, nil
 }
 
 // quarantine moves a corrupt file into <root>/damaged/ under a unique name,
@@ -337,9 +331,6 @@ func (s *Store) quarantine(path string) string {
 }
 
 func (s *Store) manifestPath() string { return filepath.Join(s.dir, "manifest.jsonl") }
-func (s *Store) blobPath(hash string) string {
-	return filepath.Join(s.dir, "blobs", hash+".json")
-}
 
 func shortHash(h string) string {
 	if len(h) > 12 {
@@ -348,10 +339,10 @@ func shortHash(h string) string {
 	return h
 }
 
-// writeFileSync writes data to path atomically: temp file in the same
-// directory, fsync, rename, directory fsync (best effort — some filesystems
-// reject directory syncs).
-func writeFileSync(path string, data []byte) error {
+// WriteFileAtomic writes data to path atomically and durably: temp file in
+// the same directory, fsync, rename, directory fsync (best effort — some
+// filesystems reject directory syncs).
+func WriteFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".tmp-*")
 	if err != nil {

@@ -24,6 +24,7 @@ import (
 
 	eof "github.com/eof-fuzz/eof"
 	"github.com/eof-fuzz/eof/internal/boards"
+	"github.com/eof-fuzz/eof/internal/corpus"
 	"github.com/eof-fuzz/eof/internal/fleet"
 	"github.com/eof-fuzz/eof/internal/metrics"
 	"github.com/eof-fuzz/eof/internal/sched"
@@ -237,19 +238,15 @@ func idOrdinal(id string) int {
 	return n
 }
 
-// persist writes one job row atomically (temp + rename). Callers hold
-// s.mu or own the record exclusively.
+// persist writes one job row atomically and durably (temp + fsync + rename
+// + directory fsync), so a power cut cannot lose or empty a row that
+// restart adoption reads. Callers hold s.mu or own the record exclusively.
 func (s *Server) persist(r *Record) error {
 	raw, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
 		return fmt.Errorf("server: encode job %s: %w", r.ID, err)
 	}
-	path := filepath.Join(jobsDir(s.opts.DataDir), r.ID+".json")
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
-		return fmt.Errorf("server: persist job %s: %w", r.ID, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := corpus.WriteFileAtomic(filepath.Join(jobsDir(s.opts.DataDir), r.ID+".json"), raw); err != nil {
 		return fmt.Errorf("server: persist job %s: %w", r.ID, err)
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -86,7 +87,8 @@ func TestPersistOffByteIdentical(t *testing.T) {
 				return buf.Bytes(), rep
 			}
 			plainJournal, plainRep := run("")
-			persistJournal, persistRep := run(t.TempDir())
+			storeDir := t.TempDir()
+			persistJournal, persistRep := run(storeDir)
 			if bytes.Contains(plainJournal, []byte(`"shard":-1`)) {
 				t.Fatal("plain run journaled campaign-stream events")
 			}
@@ -105,6 +107,19 @@ func TestPersistOffByteIdentical(t *testing.T) {
 			}
 			if persistRep.Persist == nil || persistRep.Persist.Checkpoints == 0 {
 				t.Fatalf("persisted run's persist report: %+v", persistRep.Persist)
+			}
+			// One file per store: the namespace holds the manifest and the
+			// checkpoint rotation, nothing else.
+			ents, err := os.ReadDir(filepath.Join(storeDir, "rtthread", "stm32h745"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var names []string
+			for _, e := range ents {
+				names = append(names, e.Name())
+			}
+			if got := strings.Join(names, " "); got != "checkpoint.json checkpoint.prev.json manifest.jsonl" {
+				t.Fatalf("store namespace holds %q, want only the manifest and the two checkpoints", got)
 			}
 		})
 	}

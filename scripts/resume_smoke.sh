@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Resume smoke test: start a persisted campaign, kill -9 it mid-flight, check
-# the store survives an integrity walk, resume it, and assert the resumed
+# the store survives an integrity walk, resume it, assert the resumed
 # campaign's coverage is a superset of what the killed one had durably
-# checkpointed. This is the crash-safety contract end to end, with a real
-# SIGKILL instead of a simulated one.
+# checkpointed, and check that the resumed store verifies with no damage at
+# all. This is the crash-safety contract end to end, with a real SIGKILL
+# instead of a simulated one.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,9 +34,10 @@ sleep 1 # let a few more epochs land mid-write
 kill -9 "$pid"
 wait "$pid" 2>/dev/null || true
 
-# The killed store must verify: every blob against its content address, the
-# manifest against its schema, the checkpoint against its self-checksum.
-# Damage from the kill (a torn manifest tail at worst) is tolerated, not fatal.
+# The killed store must verify: every manifest line against its schema and
+# its program's hash, the checkpoint against its self-checksum. Damage from
+# the kill (a torn manifest tail at worst) is tolerated, not fatal: the tail
+# is cut off the file.
 "$workdir/eofcorpus" -dir "$store" -os freertos -board stm32h745 verify
 before=$("$workdir/eofcorpus" -dir "$store" -os freertos -board stm32h745 -edges info)
 test "$before" -gt 0 || { echo "killed store checkpointed no coverage" >&2; exit 1; }
@@ -58,5 +60,11 @@ test "$after" -ge "$before" || {
 # warning, the resumed one is whole.
 "$workdir/eoftrace" summary "$workdir/first.jsonl" > /dev/null
 "$workdir/eoftrace" summary "$workdir/second.jsonl" > /dev/null
+
+# The resumed store must be whole: a torn tail was cut before the resumed run
+# appended, so a strict verify finds no damage. The namespace is one manifest
+# plus the checkpoint rotation; the old per-program blobs/ directory is gone.
+"$workdir/eofcorpus" -dir "$store" -os freertos -board stm32h745 verify -strict
+test ! -e "$store/freertos/stm32h745/blobs" || { echo "store still has a blobs/ directory" >&2; exit 1; }
 
 echo "resume smoke OK: $before edges survived the kill, $after after resume"
