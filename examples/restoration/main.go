@@ -40,8 +40,7 @@ func main() {
 	client := ocd.Connect(ocd.NewServer(brd, ocd.DefaultLatency()))
 	defer client.Close()
 
-	syms, err := info.SymbolTable(spec)
-	check(err)
+	syms := images.Syms
 	mainAddr := syms.Addr(agent.SymExecutorMain)
 	check(client.SetBreakpoint(mainAddr))
 	check(client.SetBreakpoint(syms.Addr("panic_handler")))

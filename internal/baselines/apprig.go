@@ -83,10 +83,7 @@ func NewAppRig(info *osinfo.Info, spec *board.Spec, entry, init string, initArgs
 	if err != nil {
 		return nil, err
 	}
-	syms, err := osInfo.SymbolTable(spec)
-	if err != nil {
-		return nil, err
-	}
+	syms := images.Syms
 	table, err := osInfo.PartTable()
 	if err != nil {
 		return nil, err

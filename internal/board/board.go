@@ -86,9 +86,6 @@ type Spec struct {
 	IdleWarp uint64
 	// Peripherals lists hardware blocks present on this board.
 	Peripherals map[string]bool
-
-	// Flash timing for restoration-cost modelling.
-	EraseSectorTime vtime.CycleModel // unused; kept simple below
 }
 
 // HasPeripheral reports whether the board provides the named block.
@@ -135,6 +132,8 @@ func LayoutFor(spec *Spec) Layout {
 }
 
 // Env is everything a firmware builder needs to construct the OS + agent.
+// Mem, RAM and Cov belong to the board and are reset in place at every boot,
+// so an Env kept from an earlier boot sees the current boot's RAM.
 type Env struct {
 	Spec         *Spec
 	Clock        *vtime.Clock
@@ -183,8 +182,16 @@ type Board struct {
 	flashDev *flash.Device
 	table    *flash.Table
 	builder  Builder
+	// images is the last boot-image validation; it stands while the flash
+	// mutation count is the one it ran at.
+	images imageCheck
 
+	// The memory map, its RAM region and the coverage runtime (created at
+	// the first instrumented boot) last as long as the board: every boot
+	// resets them in place.
 	memmap *mem.Map
+	ram    *mem.Region
+	covrt  *cov.Runtime
 	core   *cpu.Core
 	uartd  *uart.UART
 	env    *Env
@@ -204,12 +211,18 @@ func New(spec *Spec, table *flash.Table, builder Builder, clock *vtime.Clock) (*
 	if err := table.Validate(dev); err != nil {
 		return nil, err
 	}
+	mm := mem.NewMap()
+	mm.MustAdd(mem.BackedRegion("flash", spec.FlashBase, dev.Bytes(), mem.RX))
+	ram := mem.NewRegion("ram", spec.RAMBase, spec.RAMSize, mem.RW)
+	mm.MustAdd(ram)
 	return &Board{
 		Spec:     spec,
 		Clock:    clock,
 		flashDev: dev,
 		table:    table,
 		builder:  builder,
+		memmap:   mm,
+		ram:      ram,
 		uartd:    uart.New(clock),
 		state:    Off,
 	}, nil
@@ -343,7 +356,6 @@ func (b *Board) boot(cold bool) error {
 		return err
 	}
 
-	b.memmap = rt.mm
 	b.core = rt.core
 	b.env = rt.env
 	b.fw = rt.fw
@@ -358,32 +370,26 @@ func (b *Board) boot(cold bool) error {
 
 // runtime bundles the per-boot objects a successful image validation yields.
 type runtime struct {
-	mm   *mem.Map
-	ram  *mem.Region
 	core *cpu.Core
 	env  *Env
 	fw   Firmware
 	kimg *flash.Image
 }
 
-// buildRuntime validates the flash images and constructs the live memory map,
-// core and firmware objects. It is shared by cold boots and by the snapshot
-// warm-restore path; callers commit the result and charge whatever timing
+// buildRuntime validates the flash images, resets RAM and the coverage
+// runtime in place and constructs the core and firmware objects. It is
+// shared by cold boots and by the snapshot warm-restore path; callers shut
+// the old core down first, commit the result and charge whatever timing
 // their path costs.
 func (b *Board) buildRuntime() (*runtime, error) {
-	kimg, err := b.validatePartition("bootloader", flash.MagicBoot)
-	if err == nil {
-		kimg, err = b.validatePartition("kernel", flash.MagicKernel)
-	}
+	kimg, err := b.validateImages()
 	if err != nil {
 		return nil, err
 	}
 
-	mm := mem.NewMap()
-	mm.MustAdd(mem.BackedRegion("flash", b.Spec.FlashBase, b.flashDev.Bytes(), mem.RX))
-	ram := mem.NewRegion("ram", b.Spec.RAMBase, b.Spec.RAMSize, mem.RW)
-	mm.MustAdd(ram)
-
+	// No target goroutine is left to touch RAM: Core.Kill returns only once
+	// the old one has exited.
+	b.ram.Reset()
 	core := cpu.New(b.Clock, b.Spec.CPUConfig())
 	core.SetInstrumented(kimg.Instrumented)
 
@@ -393,8 +399,8 @@ func (b *Board) buildRuntime() (*runtime, error) {
 		Spec:         b.Spec,
 		Clock:        b.Clock,
 		Core:         core,
-		Mem:          mm,
-		RAM:          ram,
+		Mem:          b.memmap,
+		RAM:          b.ram,
 		UART:         b.uartd,
 		Flash:        b.flashDev,
 		Instrumented: kimg.Instrumented,
@@ -409,18 +415,46 @@ func (b *Board) buildRuntime() (*runtime, error) {
 	// The FSB and the coverage buffer are mutated by the runtime directly
 	// through the RAM slab, bypassing the map's write path: pin their pages
 	// permanently dirty so delta restores never miss them.
-	ram.PinDirty(FSBOffset, FSBSize)
+	b.ram.PinDirty(FSBOffset, FSBSize)
 	if kimg.Instrumented {
-		slab := ram.Bytes()[CovOffset : CovOffset+uint64(lay.CovBytes)]
-		env.Cov = cov.NewRuntime(slab, b.Spec.CovEntries)
-		ram.PinDirty(CovOffset, lay.CovBytes)
+		if b.covrt == nil {
+			b.covrt = cov.NewRuntime(b.ram.Bytes()[CovOffset:CovOffset+uint64(lay.CovBytes)], b.Spec.CovEntries)
+		} else {
+			b.covrt.Reset()
+		}
+		env.Cov = b.covrt
+		b.ram.PinDirty(CovOffset, lay.CovBytes)
 	}
 
 	fw, err := b.builder(env)
 	if err != nil {
 		return nil, fmt.Errorf("boot: firmware init: %w", err)
 	}
-	return &runtime{mm: mm, ram: ram, core: core, env: env, fw: fw, kimg: kimg}, nil
+	return &runtime{core: core, env: env, fw: fw, kimg: kimg}, nil
+}
+
+// imageCheck is one validation of the boot images: the parsed kernel image
+// or the boot error, and the flash mutation count it ran at.
+type imageCheck struct {
+	done bool
+	at   uint64
+	kimg *flash.Image
+	err  error
+}
+
+// validateImages validates the bootloader and kernel partitions, reusing the
+// last result while the flash has taken no erase, program or corrupting
+// write since it ran.
+func (b *Board) validateImages() (*flash.Image, error) {
+	if c := b.images; c.done && c.at == b.flashDev.Mutations() {
+		return c.kimg, c.err
+	}
+	kimg, err := b.validatePartition("bootloader", flash.MagicBoot)
+	if err == nil {
+		kimg, err = b.validatePartition("kernel", flash.MagicKernel)
+	}
+	b.images = imageCheck{done: true, at: b.flashDev.Mutations(), kimg: kimg, err: err}
+	return kimg, err
 }
 
 func (b *Board) validatePartition(name string, wantMagic uint32) (*flash.Image, error) {
@@ -447,7 +481,6 @@ func (b *Board) shutdown() {
 		b.core.Kill()
 	}
 	b.core = nil
-	b.memmap = nil
 	b.env = nil
 	b.fw = nil
 	if b.state != Dead {
@@ -533,11 +566,12 @@ const (
 // ErrNoSnapshot is returned by RestoreSnapshot when no snapshot is cached.
 var ErrNoSnapshot = errors.New("board: no snapshot cached")
 
-// snapshot is the cached golden state RestoreSnapshot rolls back to.
+// snapshot is the cached golden state RestoreSnapshot rolls back to. Its
+// flash half is the flash device's capture, which saves each sector before
+// its first change.
 type snapshot struct {
-	flash []byte   // full flash contents at capture
-	ram   []byte   // full RAM contents at capture
-	bps   []uint64 // armed breakpoints at capture
+	ram []byte   // full RAM contents at capture
+	bps []uint64 // armed breakpoints at capture
 }
 
 // RestoreStats describes what one delta restore shipped and what it proved
@@ -551,31 +585,36 @@ type RestoreStats struct {
 
 // Snapshot captures the current board state — flash, RAM and the armed
 // breakpoint set — as the golden image RestoreSnapshot rolls back to, and
-// resets the dirty tracking so DirtySince diffs against this point. The board
-// must be On, and for restores to be byte-faithful it should be parked at a
-// state a plain boot deterministically reproduces (the engine snapshots at
-// the executor_main park).
+// resets the dirty tracking so DirtySince diffs against this point. Flash is
+// captured copy-before-write and RAM is copied into the previous snapshot's
+// buffer. The board must be On, and for restores to be byte-faithful it
+// should be parked at a state a plain boot deterministically reproduces (the
+// engine snapshots at the executor_main park).
 func (b *Board) Snapshot() error {
 	if b.state != On {
 		return fmt.Errorf("board: snapshot: board %v", b.state)
 	}
 	b.Clock.Advance(snapshotCaptureTime)
-	b.snap = &snapshot{
-		flash: append([]byte(nil), b.flashDev.Bytes()...),
-		ram:   append([]byte(nil), b.env.RAM.Bytes()...),
-		bps:   b.core.Breakpoints(),
+	if b.snap == nil {
+		b.snap = &snapshot{}
 	}
+	b.snap.ram = append(b.snap.ram[:0], b.ram.Bytes()...)
+	b.snap.bps = b.core.Breakpoints()
+	b.flashDev.Capture()
 	b.flashDev.ClearDirty()
-	b.env.RAM.ClearDirty()
+	b.ram.ClearDirty()
 	return nil
 }
 
 // HasSnapshot reports whether a golden snapshot is cached.
 func (b *Board) HasSnapshot() bool { return b.snap != nil }
 
-// DropSnapshot discards the cached snapshot (a newly provisioned image makes
-// the old golden state meaningless).
-func (b *Board) DropSnapshot() { b.snap = nil }
+// DropSnapshot discards the cached snapshot and ends the flash capture (a
+// newly provisioned image makes the old golden state meaningless).
+func (b *Board) DropSnapshot() {
+	b.snap = nil
+	b.flashDev.EndCapture()
+}
 
 // DirtySince returns the flash sectors and RAM pages touched since the last
 // Snapshot — the candidate set a delta restore diffs against the golden
@@ -583,7 +622,7 @@ func (b *Board) DropSnapshot() { b.snap = nil }
 func (b *Board) DirtySince() (sectors, pages []int) {
 	sectors = b.flashDev.DirtySectors()
 	if b.env != nil {
-		pages = b.env.RAM.DirtyPages()
+		pages = b.ram.DirtyPages()
 	}
 	return sectors, pages
 }
@@ -612,7 +651,7 @@ func (b *Board) RestoreSnapshot() (RestoreStats, error) {
 	// path, so the escalated restore still sees a conservative set.
 	for _, s := range b.flashDev.DirtySectors() {
 		off := s * sec
-		golden := b.snap.flash[off : off+sec]
+		golden := b.flashDev.Captured(s)
 		cur, err := b.flashDev.View(off, sec)
 		if err != nil {
 			return st, err
@@ -635,8 +674,8 @@ func (b *Board) RestoreSnapshot() (RestoreStats, error) {
 	// bulk-write cost of shipping them. The contents land wholesale after
 	// the warm rebuild below, which guarantees byte-identity.
 	if b.env != nil {
-		ram := b.env.RAM.Bytes()
-		for _, p := range b.env.RAM.DirtyPages() {
+		ram := b.ram.Bytes()
+		for _, p := range b.ram.DirtyPages() {
 			lo := p * mem.PageSize
 			hi := lo + mem.PageSize
 			if hi > len(ram) {
@@ -656,7 +695,7 @@ func (b *Board) RestoreSnapshot() (RestoreStats, error) {
 		st.RestoredBytes += int64(len(b.snap.ram))
 		b.Clock.Advance(time.Duration(st.RAMPages) * restorePageTime)
 	}
-	st.SkippedBytes = int64(len(b.snap.flash)+len(b.snap.ram)) - st.RestoredBytes
+	st.SkippedBytes = int64(b.flashDev.Size()+len(b.snap.ram)) - st.RestoredBytes
 
 	// Warm rebuild: same construction as a boot, but the rails never drop.
 	b.shutdown()
@@ -666,7 +705,6 @@ func (b *Board) RestoreSnapshot() (RestoreStats, error) {
 		b.lastBoot = err
 		return st, err
 	}
-	b.memmap = rt.mm
 	b.core = rt.core
 	b.env = rt.env
 	b.fw = rt.fw
@@ -692,8 +730,8 @@ func (b *Board) RestoreSnapshot() (RestoreStats, error) {
 	// Overwrite RAM with the golden bytes wholesale. The replay reproduced
 	// the kernel's object state; this squashes any byte-level drift (e.g. a
 	// coverage buffer the host had already drained at capture time).
-	copy(rt.ram.Bytes(), b.snap.ram)
-	rt.ram.ClearDirty()
+	copy(b.ram.Bytes(), b.snap.ram)
+	b.ram.ClearDirty()
 	if rt.env.Cov != nil {
 		rt.env.Cov.SyncFromRAM()
 	}
@@ -715,7 +753,7 @@ func (b *Board) replayToBreakpoint(rt *runtime) error {
 		case cpu.StopCovFull:
 			// Clear the buffer the way the host would and keep replaying;
 			// the golden RAM overwrite squashes the contents afterwards.
-			if err := rt.mm.PutU32(rt.env.CovAddr+4, 0); err != nil {
+			if err := b.memmap.PutU32(rt.env.CovAddr+4, 0); err != nil {
 				return err
 			}
 			rt.env.Cov.SyncFromRAM()

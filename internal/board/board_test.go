@@ -136,6 +136,26 @@ func TestCorruptionBricksUntilReflash(t *testing.T) {
 	b.Core().Kill()
 }
 
+// TestResetRevalidatesRewrittenKernel checks that a reset after a flash
+// write boots the new image rather than a cached validation of the old one.
+func TestResetRevalidatesRewrittenKernel(t *testing.T) {
+	b := provisioned(t, true)
+	if err := b.Boot(); err != nil {
+		t.Fatal(err)
+	}
+	kern := &flash.Image{Magic: flash.MagicKernel, OS: "x", BuildID: 7, Instrumented: true, CodeSize: 256}
+	if err := b.Provision("kernel", kern.Serialize()); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.Env().BuildID; got != 7 {
+		t.Fatalf("reset after reprovisioning booted build %d, want 7", got)
+	}
+	b.Core().Kill()
+}
+
 func TestFlashTimingCharged(t *testing.T) {
 	b := provisioned(t, false)
 	before := b.Clock.Now()

@@ -409,10 +409,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	syms, err := osInfo.SymbolTable(cfg.Board)
-	if err != nil {
-		return nil, err
-	}
+	syms := images.Syms
 	dcfg := cfg.Degrade
 	if dcfg.Enabled() && dcfg.Seed == 0 {
 		// Like the link-fault injector: each engine (and fleet shard)

@@ -74,17 +74,22 @@ func NewRuntime(ram []byte, capacity int) *Runtime {
 	if len(ram) < BufferBytes(capacity) {
 		panic(fmt.Sprintf("cov: ram slab %d too small for %d entries", len(ram), capacity))
 	}
-	r := &Runtime{
-		buf:        ram,
-		cap:        capacity,
-		guardEpoch: make([]uint32, guardSlots),
-		epoch:      1,
-	}
-	binary.LittleEndian.PutUint32(ram[0:], Magic)
-	binary.LittleEndian.PutUint32(ram[4:], 0)
-	binary.LittleEndian.PutUint32(ram[8:], uint32(capacity))
-	binary.LittleEndian.PutUint32(ram[12:], 0)
+	r := &Runtime{buf: ram, cap: capacity, guardEpoch: make([]uint32, guardSlots)}
+	r.Reset()
 	return r
+}
+
+// Reset returns the runtime to the state NewRuntime leaves it in, over the
+// same slab and guard table: an empty buffer header, no filter, prev and
+// full cleared, and a fresh guard epoch, so no edge counts as seen.
+func (r *Runtime) Reset() {
+	r.filter = nil
+	r.full = false
+	r.ResetEpoch()
+	binary.LittleEndian.PutUint32(r.buf[0:], Magic)
+	binary.LittleEndian.PutUint32(r.buf[4:], 0)
+	binary.LittleEndian.PutUint32(r.buf[8:], uint32(r.cap))
+	binary.LittleEndian.PutUint32(r.buf[12:], 0)
 }
 
 // TracePC is the per-block instrumentation callback. It returns true when

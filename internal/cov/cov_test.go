@@ -1,7 +1,9 @@
 package cov
 
 import (
+	"bytes"
 	"encoding/binary"
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -168,6 +170,54 @@ func TestCollectorConcurrentIngest(t *testing.T) {
 	for i := 1; i < len(edges); i++ {
 		if edges[i-1] >= edges[i] {
 			t.Fatal("Edges() not sorted ascending")
+		}
+	}
+}
+
+// TestResetMatchesFresh checks that Reset leaves a used runtime (filtered,
+// trapped full, mid edge chain) behaving exactly like NewRuntime over an
+// equal slab: the same buffer bytes and the same traps at every PC of one
+// stream. With capacity 0 the first edge traps, the one place a kept full
+// latch would show.
+func TestResetMatchesFresh(t *testing.T) {
+	for _, capacity := range []int{0, 1, 8, 64} {
+		used, ram := newRT(capacity)
+		used.SetFilter(func(pc uint64) bool { return pc%3 != 0 })
+		rnd := rand.New(rand.NewSource(int64(capacity)))
+		pc := func() uint64 { return 0x1000 + uint64(rnd.Intn(24))*4 }
+		trapped := false
+		for i := 0; i < 10_000 && !trapped; i++ {
+			trapped = used.TracePC(pc())
+		}
+		if !trapped {
+			t.Fatalf("capacity %d: buffer never filled", capacity)
+		}
+		used.TracePC(pc()) // counted as lost
+
+		freshRAM := bytes.Clone(ram)
+		fresh := NewRuntime(freshRAM, capacity)
+		used.Reset()
+		if !bytes.Equal(ram, freshRAM) {
+			t.Fatalf("capacity %d: slab after Reset differs from NewRuntime's", capacity)
+		}
+		for step := 0; step < 2000; step++ {
+			switch rnd.Intn(50) {
+			case 0:
+				used.ResetEpoch()
+				fresh.ResetEpoch()
+			case 1: // the host drains the buffer
+				binary.LittleEndian.PutUint32(ram[4:], 0)
+				binary.LittleEndian.PutUint32(freshRAM[4:], 0)
+				used.SyncFromRAM()
+				fresh.SyncFromRAM()
+			}
+			p := pc()
+			if got, want := used.TracePC(p), fresh.TracePC(p); got != want {
+				t.Fatalf("capacity %d step %d: trap %v after Reset, %v fresh", capacity, step, got, want)
+			}
+			if !bytes.Equal(ram, freshRAM) {
+				t.Fatalf("capacity %d step %d: buffer after Reset differs from a fresh runtime's", capacity, step)
+			}
 		}
 	}
 }

@@ -344,7 +344,9 @@ func (c *Core) Continue(budget int64) Stop {
 }
 
 // Kill terminates a started core (board reset while halted). Safe to call on
-// an unstarted or dead core.
+// an unstarted or dead core. It returns only once the target goroutine has
+// stopped running firmware code, so the caller may reuse the memory the
+// firmware wrote.
 func (c *Core) Kill() {
 	if !c.started || c.dead {
 		c.dead = true

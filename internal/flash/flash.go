@@ -29,6 +29,15 @@ type Device struct {
 	// snapshot/delta restoration path diffs against this bitmap instead of
 	// re-shipping whole partitions.
 	dirty []bool
+	// mutations counts erases, programs and corrupting writes, so a caller
+	// can tell that nothing changed since it last looked.
+	mutations uint64
+	// Copy-before-write capture: while capturing, the first mutation of
+	// sector s after the last Capture copies its bytes into saved[s] and
+	// sets held[s], so Captured can return the device as of the capture.
+	capturing bool
+	held      []bool
+	saved     [][]byte
 }
 
 // NewDevice creates an erased flash of size bytes with the given sector size.
@@ -41,6 +50,8 @@ func NewDevice(size, sectorSize int) *Device {
 		data:       make([]byte, size),
 		eraseCount: make([]int, size/sectorSize),
 		dirty:      make([]bool, size/sectorSize),
+		held:       make([]bool, size/sectorSize),
+		saved:      make([][]byte, size/sectorSize),
 	}
 	fillErased(d.data)
 	return d
@@ -78,10 +89,10 @@ func (d *Device) Erase(i int) error {
 	if i < 0 || i >= d.Sectors() {
 		return fmt.Errorf("flash: erase of sector %d outside device (%d sectors)", i, d.Sectors())
 	}
+	d.touch(i, i)
 	base := i * d.sectorSize
 	fillErased(d.data[base : base+d.sectorSize])
 	d.eraseCount[i]++
-	d.dirty[i] = true
 	return nil
 }
 
@@ -107,6 +118,10 @@ func (d *Device) Program(off int, data []byte) error {
 	if off < 0 || off > len(d.data)-len(data) {
 		return fmt.Errorf("flash: program [%#x,%#x) outside device", off, off+len(data))
 	}
+	if len(data) == 0 {
+		return nil
+	}
+	d.touch(off/d.sectorSize, (off+len(data)-1)/d.sectorSize)
 	dst := d.data[off : off+len(data)]
 	i := 0
 	for ; i+8 <= len(data); i += 8 {
@@ -115,9 +130,6 @@ func (d *Device) Program(off int, data []byte) error {
 	}
 	for ; i < len(data); i++ {
 		dst[i] &= data[i]
-	}
-	if len(data) > 0 {
-		d.markDirty(off, len(data))
 	}
 	return nil
 }
@@ -159,21 +171,59 @@ func (d *Device) Corrupt(off, n int, pattern byte) {
 	if off < 0 {
 		off = 0
 	}
-	written := 0
-	for i := 0; i < n && off+i < len(d.data); i++ {
-		d.data[off+i] &= pattern
-		written++
+	n = min(n, len(d.data)-off)
+	if n <= 0 {
+		return
 	}
-	if written > 0 {
-		d.markDirty(off, written)
+	d.touch(off/d.sectorSize, (off+n-1)/d.sectorSize)
+	for i := off; i < off+n; i++ {
+		d.data[i] &= pattern
 	}
 }
 
-// markDirty flags every sector overlapping [off, off+n).
-func (d *Device) markDirty(off, n int) {
-	for s := off / d.sectorSize; s <= (off+n-1)/d.sectorSize && s < len(d.dirty); s++ {
+// touch runs before sectors first..last change: it counts the mutation,
+// marks the sectors dirty and, during a capture, saves each sector's bytes
+// the first time it changes after the capture.
+func (d *Device) touch(first, last int) {
+	d.mutations++
+	for s := first; s <= last; s++ {
 		d.dirty[s] = true
+		if d.capturing && !d.held[s] {
+			base := s * d.sectorSize
+			d.saved[s] = append(d.saved[s][:0], d.data[base:base+d.sectorSize]...)
+			d.held[s] = true
+		}
 	}
+}
+
+// Mutations returns how many erases, programs and corrupting writes the
+// device has taken. Equal counts mean byte-identical contents.
+func (d *Device) Mutations() uint64 { return d.mutations }
+
+// Capture makes the current contents the point Captured returns, without
+// copying them: from here on each sector is saved before its first change.
+// A later Capture moves the point.
+func (d *Device) Capture() {
+	d.capturing = true
+	clear(d.held)
+}
+
+// Captured returns sector s as it was at the last Capture: its saved copy
+// if it changed since, otherwise its live bytes. The slice must not be
+// modified; a live one is valid until the sector's next change.
+func (d *Device) Captured(s int) []byte {
+	if d.held[s] {
+		return d.saved[s]
+	}
+	base := s * d.sectorSize
+	return d.data[base : base+d.sectorSize]
+}
+
+// EndCapture stops saving sectors and releases the saved copies.
+func (d *Device) EndCapture() {
+	d.capturing = false
+	clear(d.held)
+	clear(d.saved)
 }
 
 // Dirty reports whether sector i has been touched since the last ClearDirty.
@@ -196,14 +246,6 @@ func (d *Device) DirtySectors() []int {
 func (d *Device) ClearDirty() {
 	for i := range d.dirty {
 		d.dirty[i] = false
-	}
-}
-
-// MarkAllDirty flags every sector, forcing the next delta restore to treat
-// the whole device as changed (used when tracking validity is lost).
-func (d *Device) MarkAllDirty() {
-	for i := range d.dirty {
-		d.dirty[i] = true
 	}
 }
 

@@ -170,6 +170,44 @@ func TestImageSerializeParse(t *testing.T) {
 	}
 }
 
+// bytewisePseudoCode is the byte-at-a-time code-section generator the
+// word-wide one replaced, kept as its reference.
+func bytewisePseudoCode(seed uint64, n int) []byte {
+	out := make([]byte, n)
+	x := seed | 1
+	for i := 0; i < n; i += 8 {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		for j := 0; j < 8 && i+j < n; j++ {
+			out[i+j] = byte(x >> (8 * j))
+		}
+	}
+	return out
+}
+
+// TestImageCodeMatchesBytewise checks that Serialize writes the same code
+// section as the byte-at-a-time generator, for whole and partial last words.
+func TestImageCodeMatchesBytewise(t *testing.T) {
+	sizes := []int{4093}
+	for n := 0; n <= 17; n++ {
+		sizes = append(sizes, n)
+	}
+	for _, seed := range []uint64{0, 1, 2, 0xB007, 0xDEADBEEFCAFEF00D, ^uint64(0)} {
+		for _, n := range sizes {
+			im := &Image{Magic: MagicKernel, OS: "os", BuildID: seed, CodeSize: uint32(n)}
+			raw := im.Serialize()
+			code := raw[imageHeaderFixed+len(im.OS) : len(raw)-4]
+			if want := bytewisePseudoCode(seed, n); !bytes.Equal(code, want) {
+				t.Fatalf("seed %#x size %d: code section differs from the byte-wise generator", seed, n)
+			}
+			if _, err := ParseImage(raw); err != nil {
+				t.Fatalf("seed %#x size %d: %v", seed, n, err)
+			}
+		}
+	}
+}
+
 func TestImageCorruptionDetected(t *testing.T) {
 	im := &Image{Magic: MagicKernel, OS: "zephyr", BuildID: 7, CodeSize: 1024}
 	raw := im.Serialize()
@@ -226,21 +264,31 @@ func TestCorrupt(t *testing.T) {
 }
 
 // refDevice is a byte-at-a-time model of Device: the reference the word-wide
-// Program and the copy-doubling Erase are checked against.
+// Program, the copy-doubling Erase and the copy-before-write capture are
+// checked against.
 type refDevice struct {
 	sector int
 	data   []byte
 	erases []int
 	dirty  []bool
+	// golden is a full copy taken at the last capture, nil outside one;
+	// writes counts each sector's mutations since that capture.
+	golden []byte
+	writes []int
 }
 
 func newRefDevice(size, sector int) *refDevice {
 	r := &refDevice{sector: sector, data: make([]byte, size),
-		erases: make([]int, size/sector), dirty: make([]bool, size/sector)}
+		erases: make([]int, size/sector), dirty: make([]bool, size/sector), writes: make([]int, size/sector)}
 	for i := range r.data {
 		r.data[i] = Erased
 	}
 	return r
+}
+
+func (r *refDevice) mark(s int) {
+	r.dirty[s] = true
+	r.writes[s]++
 }
 
 func (r *refDevice) erase(s int) {
@@ -248,7 +296,7 @@ func (r *refDevice) erase(s int) {
 		r.data[j] = Erased
 	}
 	r.erases[s]++
-	r.dirty[s] = true
+	r.mark(s)
 }
 
 func (r *refDevice) eraseRange(off, n int) {
@@ -262,31 +310,52 @@ func (r *refDevice) eraseRange(off, n int) {
 func (r *refDevice) program(off int, data []byte) {
 	for i, b := range data {
 		r.data[off+i] &= b
-		r.dirty[(off+i)/r.sector] = true
+		if i == 0 || (off+i)%r.sector == 0 {
+			r.mark((off + i) / r.sector)
+		}
 	}
 }
 
-// TestWordOpsMatchByteReference drives Program, Erase and EraseRange with
-// random offsets and lengths (unaligned heads and tails, unaligned sources,
-// multi-sector spans) and checks bytes, erase counts and dirty sectors
-// against the byte-at-a-time reference after every operation.
+func (r *refDevice) corrupt(off, n int, pattern byte) {
+	off = max(off, 0)
+	for i := off; i < off+n && i < len(r.data); i++ {
+		r.data[i] &= pattern
+		if i == off || i%r.sector == 0 {
+			r.mark(i / r.sector)
+		}
+	}
+}
+
+func (r *refDevice) capture() {
+	r.golden = bytes.Clone(r.data)
+	clear(r.writes)
+}
+
+// TestWordOpsMatchByteReference drives Program, Erase, EraseRange, Corrupt,
+// WriteImage, Capture and EndCapture with random offsets and lengths
+// (unaligned heads and tails, unaligned sources, multi-sector spans, corrupt
+// spans past the device end) and checks bytes, erase counts, dirty sectors
+// and every sector's Captured copy against the byte-at-a-time reference
+// after every operation, and that any operation changing a byte moves the
+// mutation count.
 func TestWordOpsMatchByteReference(t *testing.T) {
 	rnd := rand.New(rand.NewSource(1))
 	for _, geo := range []struct{ size, sector int }{{1024, 64}, {210, 30}, {4096, 4096}} {
 		d, ref := NewDevice(geo.size, geo.sector), newRefDevice(geo.size, geo.sector)
 		src := make([]byte, geo.size+8)
+		var spanned, pastEnd, rewritten bool
 		for op := 0; op < 3000; op++ {
 			off := rnd.Intn(geo.size)
 			n := rnd.Intn(geo.size - off + 1)
 			if rnd.Intn(2) == 0 {
 				n = min(n, rnd.Intn(3*geo.sector+1))
 			}
+			rnd.Read(src)
+			data := src[rnd.Intn(8):][:n]
+			before, mutations := bytes.Clone(d.Bytes()), d.Mutations()
 			var err error
-			switch rnd.Intn(4) {
+			switch rnd.Intn(7) {
 			case 0, 1:
-				rnd.Read(src)
-				skew := rnd.Intn(8)
-				data := src[skew : skew+n]
 				err = d.Program(off, data)
 				ref.program(off, data)
 			case 2:
@@ -296,6 +365,25 @@ func TestWordOpsMatchByteReference(t *testing.T) {
 			case 3:
 				err = d.EraseRange(off, n)
 				ref.eraseRange(off, n)
+			case 4:
+				n += rnd.Intn(geo.sector) // may run past the device end
+				pattern := byte(rnd.Intn(256))
+				d.Corrupt(off, n, pattern)
+				ref.corrupt(off, n, pattern)
+				spanned = spanned || (n > 0 && off/geo.sector != (min(off+n, geo.size)-1)/geo.sector)
+				pastEnd = pastEnd || off+n > geo.size
+			case 5:
+				err = d.WriteImage(off, data)
+				ref.eraseRange(off, n)
+				ref.program(off, data)
+			case 6:
+				if rnd.Intn(4) == 0 {
+					d.EndCapture()
+					ref.golden = nil
+				} else {
+					d.Capture()
+					ref.capture()
+				}
 			}
 			if err != nil {
 				t.Fatalf("geometry %v op %d: %v", geo, op, err)
@@ -303,16 +391,30 @@ func TestWordOpsMatchByteReference(t *testing.T) {
 			if !bytes.Equal(d.Bytes(), ref.data) {
 				t.Fatalf("geometry %v op %d (off %d, n %d): bytes diverge from the reference", geo, op, off, n)
 			}
+			if !bytes.Equal(d.Bytes(), before) && d.Mutations() == mutations {
+				t.Fatalf("geometry %v op %d: bytes changed but the mutation count stayed %d", geo, op, mutations)
+			}
 			for s := 0; s < d.Sectors(); s++ {
 				if d.EraseCount(s) != ref.erases[s] || d.Dirty(s) != ref.dirty[s] {
 					t.Fatalf("geometry %v op %d: sector %d erases %d dirty %v, reference %d %v",
 						geo, op, s, d.EraseCount(s), d.Dirty(s), ref.erases[s], ref.dirty[s])
 				}
+				if ref.golden == nil {
+					continue
+				}
+				if want := ref.golden[s*geo.sector : (s+1)*geo.sector]; !bytes.Equal(d.Captured(s), want) {
+					t.Fatalf("geometry %v op %d: sector %d's captured copy differs from the capture", geo, op, s)
+				}
+				rewritten = rewritten || ref.writes[s] > 1
 			}
 			if rnd.Intn(50) == 0 {
 				d.ClearDirty()
 				clear(ref.dirty)
 			}
+		}
+		if (!spanned && d.Sectors() > 1) || !pastEnd || !rewritten {
+			t.Fatalf("geometry %v: corrupt across sectors %v, past the end %v, sector written twice in a capture %v",
+				geo, spanned, pastEnd, rewritten)
 		}
 	}
 }

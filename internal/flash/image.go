@@ -34,23 +34,18 @@ func (im *Image) Serialize() []byte {
 	if len(im.OS) > 0xFFFF {
 		panic("flash: OS name too long")
 	}
-	n := imageHeaderFixed + len(im.OS) + int(im.CodeSize) + 4
-	out := make([]byte, 0, n)
-	var h [imageHeaderFixed]byte
-	binary.LittleEndian.PutUint32(h[0:], im.Magic)
-	binary.LittleEndian.PutUint16(h[4:], uint16(len(im.OS)))
-	binary.LittleEndian.PutUint64(h[6:], im.BuildID)
+	out := make([]byte, im.TotalSize())
+	binary.LittleEndian.PutUint32(out[0:], im.Magic)
+	binary.LittleEndian.PutUint16(out[4:], uint16(len(im.OS)))
+	binary.LittleEndian.PutUint64(out[6:], im.BuildID)
 	if im.Instrumented {
-		h[14] = 1
+		out[14] = 1
 	}
-	binary.LittleEndian.PutUint32(h[15:], im.CodeSize)
-	binary.LittleEndian.PutUint64(h[19:], im.Entry)
-	out = append(out, h[:]...)
-	out = append(out, im.OS...)
-	out = append(out, pseudoCode(im.BuildID, int(im.CodeSize))...)
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], CRC(out))
-	out = append(out, crc[:]...)
+	binary.LittleEndian.PutUint32(out[15:], im.CodeSize)
+	binary.LittleEndian.PutUint64(out[19:], im.Entry)
+	copy(out[imageHeaderFixed:], im.OS)
+	fillPseudoCode(out[imageHeaderFixed+len(im.OS):len(out)-4], im.BuildID)
+	binary.LittleEndian.PutUint32(out[len(out)-4:], CRC(out[:len(out)-4]))
 	return out
 }
 
@@ -92,19 +87,22 @@ func (im *Image) TotalSize() int {
 	return imageHeaderFixed + len(im.OS) + int(im.CodeSize) + 4
 }
 
-// pseudoCode generates the deterministic code-section bytes: an xorshift
-// stream seeded by the build ID, so reflashing reproduces the identical image
-// and any in-place corruption is detectable by CRC.
-func pseudoCode(seed uint64, n int) []byte {
-	out := make([]byte, n)
+// fillPseudoCode writes the deterministic code-section bytes into code: an
+// xorshift stream seeded by the build ID, one little-endian step per 8
+// bytes, so reflashing reproduces the identical image and any in-place
+// corruption is detectable by CRC.
+func fillPseudoCode(code []byte, seed uint64) {
 	x := seed | 1
-	for i := 0; i < n; i += 8 {
+	for i := 0; i < len(code); i += 8 {
 		x ^= x << 13
 		x ^= x >> 7
 		x ^= x << 17
-		for j := 0; j < 8 && i+j < n; j++ {
-			out[i+j] = byte(x >> (8 * j))
+		if i+8 <= len(code) {
+			binary.LittleEndian.PutUint64(code[i:], x)
+			continue
 		}
+		var tail [8]byte
+		binary.LittleEndian.PutUint64(tail[:], x)
+		copy(code[i:], tail[:])
 	}
-	return out
 }

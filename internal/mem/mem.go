@@ -133,14 +133,6 @@ func (r *Region) PinDirty(off uint64, size int) {
 	}
 }
 
-// Dirty reports whether page p is dirty (written since ClearDirty, or pinned).
-func (r *Region) Dirty(p int) bool {
-	return p < len(r.dirty) && (r.dirty[p] || r.pinned[p])
-}
-
-// Pages returns the region's page count at the dirty-tracking granularity.
-func (r *Region) Pages() int { return len(r.dirty) }
-
 // DirtyPages returns the indices of every dirty or pinned page, ascending.
 func (r *Region) DirtyPages() []int {
 	var out []int
@@ -159,12 +151,12 @@ func (r *Region) ClearDirty() {
 	}
 }
 
-// MarkAllDirty flags every page, forcing the next delta to re-ship the whole
-// region.
-func (r *Region) MarkAllDirty() {
-	for p := range r.dirty {
-		r.dirty[p] = true
-	}
+// Reset zeroes the region and clears its dirty and pinned bitmaps in place,
+// leaving it as NewRegion returns it without allocating.
+func (r *Region) Reset() {
+	clear(r.data)
+	clear(r.dirty)
+	clear(r.pinned)
 }
 
 // Map is an ordered set of non-overlapping regions.

@@ -85,6 +85,9 @@ type Images struct {
 	Kernel      []byte
 	KernelImage *flash.Image
 	CodeBlocks  int
+	// Syms is the dry-run symbol table CodeBlocks was counted from, the one
+	// SymbolTable returns for the same board.
+	Syms *sym.Table
 }
 
 // BuildImages produces the flash images for the OS on the given board. The
@@ -92,10 +95,11 @@ type Images struct {
 // the moral equivalent of reading section sizes out of the linked ELF — so
 // instrumented and plain images differ in size exactly as §5.5.1 measures.
 func (i *Info) BuildImages(spec *board.Spec, instrumented bool) (*Images, error) {
-	blocks, err := i.countBlocks(spec)
+	syms, err := i.SymbolTable(spec)
 	if err != nil {
 		return nil, err
 	}
+	blocks := syms.TotalBlocks()
 	per := i.BytesPerBlock
 	if instrumented {
 		per += i.InstrBytesPerBlock
@@ -121,17 +125,8 @@ func (i *Info) BuildImages(spec *board.Spec, instrumented bool) (*Images, error)
 		Kernel:      kimg.Serialize(),
 		KernelImage: kimg,
 		CodeBlocks:  blocks,
+		Syms:        syms,
 	}, nil
-}
-
-// countBlocks boots a scratch board with a minimal placeholder image purely
-// to enumerate the build's basic blocks.
-func (i *Info) countBlocks(spec *board.Spec) (int, error) {
-	t, err := i.SymbolTable(spec)
-	if err != nil {
-		return 0, err
-	}
-	return t.TotalBlocks(), nil
 }
 
 // SymbolTable returns the build's symbol table for the given board, obtained

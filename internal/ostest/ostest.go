@@ -55,10 +55,7 @@ func New(t *testing.T, info *osinfo.Info, spec *board.Spec) *Rig {
 	if err := brd.Boot(); err != nil {
 		t.Fatal(err)
 	}
-	syms, err := info.SymbolTable(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	syms := imgs.Syms
 	client := ocd.ConnectDirect(ocd.NewServer(brd, ocd.DefaultLatency()))
 	r := &Rig{T: t, Info: info, Board: brd, Client: client, Syms: syms, Lay: board.LayoutFor(spec)}
 	if err := client.SetBreakpoint(syms.Addr(agent.SymExecutorMain)); err != nil {
