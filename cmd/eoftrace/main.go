@@ -108,6 +108,10 @@ func summary(j *journal.Journal, csvOut bool) {
 		row("link_retries", s.LinkRetries)
 		row("link_reconnects", s.LinkReconnects)
 		row("quarantines", s.Quarantines)
+		row("confirm_enqueues", s.ConfirmEnqueues)
+		row("tier_confirms", sum(s.Confirms))
+		row("tier_divergences", sum(s.Divergences))
+		row("confirm_queue", s.ConfirmQueueDepth())
 		row("checkpoints", s.Checkpoints)
 		row("durable_edges", s.DurableEdges)
 		row("distills", s.Distills)
@@ -159,6 +163,10 @@ func summary(j *journal.Journal, csvOut bool) {
 	}
 	fmt.Printf("bugs: %d (%d triaged)  link: %d retries, %d reconnects  quarantines: %d\n",
 		s.Bugs, s.Triaged, s.LinkRetries, s.LinkReconnects, s.Quarantines)
+	if s.ConfirmEnqueues > 0 {
+		fmt.Printf("confirmation: %d enqueued, %d confirmed, %d diverged, %d still queued\n",
+			s.ConfirmEnqueues, sum(s.Confirms), sum(s.Divergences), s.ConfirmQueueDepth())
+	}
 	if s.Checkpoints > 0 || s.Distills > 0 {
 		fmt.Printf("persistence: %d checkpoints (%d edges durable), %d distills (%d entries dropped)\n",
 			s.Checkpoints, s.DurableEdges, s.Distills, s.DistillDropped)
@@ -183,6 +191,15 @@ func summary(j *journal.Journal, csvOut bool) {
 	if bad == 0 {
 		fmt.Println("  invariant: OK (every shard's buckets sum to its accounted duration exactly)")
 	}
+}
+
+// sum totals a fold's per-kind verdict counts.
+func sum(byKind map[string]int) int {
+	n := 0
+	for _, v := range byKind {
+		n += v
+	}
+	return n
 }
 
 func cov(j *journal.Journal, csvOut bool) {

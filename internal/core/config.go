@@ -12,7 +12,6 @@ import (
 	"github.com/eof-fuzz/eof/internal/backend"
 	"github.com/eof-fuzz/eof/internal/board"
 	"github.com/eof-fuzz/eof/internal/link"
-	"github.com/eof-fuzz/eof/internal/ocd"
 	"github.com/eof-fuzz/eof/internal/osinfo"
 	"github.com/eof-fuzz/eof/internal/trace"
 )
@@ -37,20 +36,6 @@ func DefaultWatchdogs() Watchdogs {
 		PCStall:           true,
 		ExecTimeout:       3 * time.Second,
 	}
-}
-
-// Monitors selects the bug detectors.
-type Monitors struct {
-	// Log matches crash/assert patterns in the UART stream.
-	Log bool
-	// Exception plants breakpoints at the OS's exception functions and
-	// reads the fault status block when they fire.
-	Exception bool
-}
-
-// DefaultMonitors enables both detectors.
-func DefaultMonitors() Monitors {
-	return Monitors{Log: true, Exception: true}
 }
 
 // Config parameterises one engine instance.
@@ -81,7 +66,6 @@ type Config struct {
 	APIAware bool
 
 	Watchdogs Watchdogs
-	Monitors  Monitors
 
 	// ContinueBudget is the per-continue block budget (the debugger's
 	// halt-and-inspect interval).
@@ -92,11 +76,6 @@ type Config struct {
 	MaxContinues int
 	// MaxCalls bounds generated program length.
 	MaxCalls int
-	// MutateBias is the probability of mutating a corpus seed instead of
-	// generating fresh, when the corpus is non-empty.
-	MutateBias float64
-	// Latency overrides the debug-adapter cost model (zero value = default).
-	Latency ocd.Latency
 	// SampleEvery sets the coverage time-series resolution.
 	SampleEvery time.Duration
 
@@ -129,9 +108,6 @@ type Config struct {
 	// retries of transient link faults (0 = link.DefaultRetries, negative
 	// disables retries so every fault surfaces to the watchdogs).
 	LinkRetries int
-	// LinkBackoff is the base retry backoff charged to the virtual clock,
-	// doubling per attempt (0 = link.DefaultBackoff).
-	LinkBackoff time.Duration
 
 	// Triage configures the crash-triage pipeline: replay confirmation,
 	// ddmin minimization and cluster-keyed repro emission. The zero value
@@ -186,12 +162,9 @@ func DefaultConfig(os *osinfo.Info, spec *board.Spec) Config {
 		FeedbackGuided: true,
 		APIAware:       true,
 		Watchdogs:      DefaultWatchdogs(),
-		Monitors:       DefaultMonitors(),
 		ContinueBudget: 500_000,
 		MaxContinues:   256,
 		MaxCalls:       10,
-		MutateBias:     0.7,
-		Latency:        ocd.DefaultLatency(),
 		SampleEvery:    5 * time.Minute,
 	}
 }

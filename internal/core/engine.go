@@ -377,9 +377,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.MaxCalls <= 0 {
 		cfg.MaxCalls = 10
 	}
-	if cfg.Latency == (ocd.Latency{}) {
-		cfg.Latency = ocd.DefaultLatency()
-	}
 	if cfg.SampleEvery <= 0 {
 		cfg.SampleEvery = 5 * time.Minute
 	}
@@ -426,7 +423,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		Spec:    cfg.Board,
 		Images:  images,
 		Clock:   clock,
-		Latency: cfg.Latency,
+		Latency: ocd.DefaultLatency(),
 		Degrade: dcfg,
 	})
 	if err != nil {
@@ -464,12 +461,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e.tracer.SetSink(cfg.TraceSink)
 	e.tracer.SetLive(cfg.StatusSink)
 	e.mainAddr = syms.Addr(agent.SymExecutorMain)
-	if cfg.Monitors.Exception {
-		for _, name := range osInfo.ExceptionSyms {
-			e.excAddrs[syms.Addr(name)] = name
-		}
-		e.excAddrs[syms.Addr(agent.SymHandleException)] = agent.SymHandleException
+	for _, name := range osInfo.ExceptionSyms {
+		e.excAddrs[syms.Addr(name)] = name
 	}
+	e.excAddrs[syms.Addr(agent.SymHandleException)] = agent.SymHandleException
 	return e, nil
 }
 
@@ -533,19 +528,6 @@ func (e *Engine) Health() Health { return e.health }
 // union), so sibling shards can feed it concurrently without disturbing the
 // per-shard deterministic state. Must be set before Setup.
 func (e *Engine) SetSharedSink(c *cov.Collector) { e.shared = c }
-
-// SetFocus biases fresh generation toward the named calls (the fleet
-// sharder's soft search-space partitioning). Must be called before Run.
-func (e *Engine) SetFocus(names []string, boost float64) { e.gen.SetFocus(names, boost) }
-
-// SpecCalls returns the target specification's call names in spec order.
-func (e *Engine) SpecCalls() []string {
-	out := make([]string, len(e.target.Spec.Calls))
-	for i, c := range e.target.Spec.Calls {
-		out[i] = c.Name
-	}
-	return out
-}
 
 // RequestStop asks the engine to stop fuzzing at the next iteration
 // boundary. Safe to call from another goroutine (signal handlers); RunFor
@@ -683,7 +665,6 @@ func (e *Engine) buildLinkStack() link.Link {
 	e.metrics = link.NewMetrics(e.clock)
 	e.session = link.NewSession(e.metrics.Wrap(l), link.SessionConfig{
 		MaxRetries: e.cfg.LinkRetries,
-		Backoff:    e.cfg.LinkBackoff,
 		Clock:      e.clock,
 		Reconnect: func() error {
 			if e.injector != nil {
@@ -838,10 +819,14 @@ func (e *Engine) sampleForce() {
 	e.series = append(e.series, CoverSample{At: e.clock.Now() - e.started, Edges: e.collector.Total()})
 }
 
+// mutateBias is the probability of mutating a corpus seed instead of
+// generating fresh, when the corpus is non-empty.
+const mutateBias = 0.7
+
 // nextProg picks the next input: mutate a corpus seed under feedback
 // guidance, otherwise generate fresh from the specification.
 func (e *Engine) nextProg() *prog.Prog {
-	if e.cfg.FeedbackGuided && e.corpus.Len() > 0 && e.rnd.Float64() < e.cfg.MutateBias {
+	if e.cfg.FeedbackGuided && e.corpus.Len() > 0 && e.rnd.Float64() < mutateBias {
 		if s := e.corpus.Pick(e.rnd); s != nil {
 			return e.gen.Mutate(s.P)
 		}
@@ -994,13 +979,11 @@ func (e *Engine) pumpToMain(p *prog.Prog, buf []byte) error {
 				return err
 			}
 		case cpu.StopFault:
-			// No exception breakpoint fired (monitor off or symbol not
-			// armed); the halt itself still reveals the crash on the link.
-			if e.cfg.Monitors.Exception {
-				e.onFaultStop(st, p)
-				if !e.triaging {
-					e.stats.Crashes++
-				}
+			// No exception breakpoint fired (symbol not armed); the halt
+			// itself still reveals the crash on the link.
+			e.onFaultStop(st, p)
+			if !e.triaging {
+				e.stats.Crashes++
 			}
 			return e.restore("fault")
 		case cpu.StopBudget:
@@ -1139,7 +1122,7 @@ func (e *Engine) scanLog(p *prog.Prog) error {
 		return err
 	}
 	sig, line, ok := e.logMon.Scan(lines)
-	if !ok || !e.cfg.Monitors.Log {
+	if !ok {
 		return nil
 	}
 	kind := "assert"

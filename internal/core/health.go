@@ -36,8 +36,8 @@ type HealthConfig struct {
 	// score (default 0.25): score = decay*outcome + (1-decay)*score.
 	Decay float64
 	// SickThreshold is the score below which a board counts as chronically
-	// sick (default 0.3); fleet supervisors quarantine sick boards when a
-	// hot spare is available.
+	// sick (default 0.3); fleet supervisors quarantine a sick board once a
+	// hot spare has booted to replace it.
 	SickThreshold float64
 }
 

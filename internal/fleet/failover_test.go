@@ -169,3 +169,94 @@ func TestFleetAllBoardsDeadFails(t *testing.T) {
 		t.Fatalf("quarantine records: %d, want 3", got)
 	}
 }
+
+// TestFleetSickBoardRetiredForBootedSpare covers sick retirement: a board
+// whose health score falls below the threshold, alive, is quarantined as
+// "sick" only once a spare has booted, and that spare takes over its slot.
+func TestFleetSickBoardRetiredForBootedSpare(t *testing.T) {
+	cfg := fleetConfig(t, "rtthread", 7)
+	cfg.Health.SickThreshold = 0.9
+	cfg.Degrade = board.DegradeConfig{BootFailRate: 0.3, WearLimit: 20}
+	buf := trace.NewBuffer()
+	cfg.TraceSink = buf
+	rep := runFleet(t, cfg, Options{Shards: 2, Spares: 2, SyncEvery: 2 * time.Minute}, 12*time.Minute)
+
+	if len(rep.Quarantines) != 2 {
+		t.Fatalf("quarantines: %+v, want one per slot", rep.Quarantines)
+	}
+	for i, q := range rep.Quarantines {
+		if q.Slot != i || q.Board != i || q.Spare != 2+i || q.Reason != "sick" || q.Tier != "" {
+			t.Fatalf("sick quarantine record %d: %+v", i, q)
+		}
+		if q.Health.Dead || q.Health.Score >= cfg.Health.SickThreshold {
+			t.Fatalf("quarantined board %d is not sick but alive: %+v", q.Board, q.Health)
+		}
+	}
+	// Each retired board's stream ends with its quarantine (before the
+	// closing time budget), and the spare's promotion follows it.
+	evs := buf.Events()
+	for _, q := range rep.Quarantines {
+		last, promoted := -1, -1
+		for i, ev := range evs {
+			switch {
+			case ev.Shard == q.Board && ev.Kind != trace.TimeBudget:
+				last = i
+			case ev.Shard == q.Spare && ev.Kind == trace.SparePromote:
+				promoted = i
+			}
+		}
+		if last < 0 || evs[last].Kind != trace.Quarantine || evs[last].Reason != "sick" || evs[last].Exec != q.Slot {
+			t.Fatalf("board %d's stream does not end with its sick quarantine", q.Board)
+		}
+		if promoted < last || evs[promoted].Exec != q.Slot {
+			t.Fatalf("spare %d not promoted into slot %d after the quarantine", q.Spare, q.Slot)
+		}
+	}
+}
+
+// TestFleetSickBoardKeepsSlotWhenSpareIsDead: a sick but working board is
+// not retired for a spare that dies on arrival. The spare earns its own
+// "dead" record and the sick board keeps fuzzing in its slot, so the pool
+// never runs a slot empty and a tiered pool keeps a board to confirm on.
+func TestFleetSickBoardKeepsSlotWhenSpareIsDead(t *testing.T) {
+	sick := board.DegradeConfig{BootFailRate: 0.3}
+	doa := board.DegradeConfig{DieAfterBoots: 1}
+	for _, tc := range []struct {
+		name  string
+		opts  Options
+		spare int
+	}{
+		{"pool", Options{Shards: 2, Spares: 1, SyncEvery: 2 * time.Minute,
+			Degrade: []board.DegradeConfig{sick, sick, doa}}, 2},
+		// Short epochs keep the emulation work small under -race.
+		{"tiered", Options{Shards: 1, Spares: 1, EmulShards: 1, SyncEvery: 15 * time.Second,
+			Degrade: []board.DegradeConfig{sick, doa}}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := fleetConfig(t, "rtthread", 7)
+			cfg.Health.SickThreshold = 0.99
+			buf := trace.NewBuffer()
+			cfg.TraceSink = buf
+			budget := 2 * time.Duration(tc.opts.Shards) * tc.opts.SyncEvery
+			rep := runFleet(t, cfg, tc.opts, budget)
+
+			if len(rep.Quarantines) != 1 {
+				t.Fatalf("quarantines: %+v, want only the dead spare's", rep.Quarantines)
+			}
+			q := rep.Quarantines[0]
+			if q.Slot != 0 || q.Board != tc.spare || q.Spare != -1 || q.Reason != "dead" || !q.Health.Dead {
+				t.Fatalf("dead spare's record: %+v", q)
+			}
+			// Slot 0's board stays manned: it journals every barrier.
+			epochs := 0
+			for _, ev := range buf.Events() {
+				if ev.Shard == 0 && ev.Kind == trace.SyncEpoch {
+					epochs++
+				}
+			}
+			if want := 2; epochs != want {
+				t.Fatalf("slot 0's board journaled %d epochs, want %d", epochs, want)
+			}
+		})
+	}
+}

@@ -17,17 +17,20 @@
 // second is the pool's effective throughput.
 //
 // A board-health supervisor runs at every epoch barrier: a board whose
-// engine reported core.ErrBoardDead — or whose health score fell below the
-// sick threshold while a spare is available — is quarantined, and the next
-// hot spare from the configured pool takes over its slot, re-seeded from the
-// cumulative broadcast history so the newcomer starts with the fleet's
-// collective corpus. One doomed board therefore costs the pool roughly one
-// shard-epoch of throughput instead of the whole campaign.
+// engine reported core.ErrBoardDead is quarantined, and the next hot spare
+// that boots takes over its slot, re-seeded from the cumulative broadcast
+// history so the newcomer starts with the fleet's collective corpus. A board
+// whose health score fell below the sick threshold is retired the same way,
+// but only once a spare has booted. One doomed board therefore costs the pool
+// roughly one shard-epoch of throughput instead of the whole campaign.
 //
-// With EmulShards > 0 the fleet runs tiered: alongside the hardware pool, a
-// wide pool of cheap emulated shards (backend.Emulated over a spec twin that
-// keeps edge IDs comparable) explores the same campaign at emulation speed.
-// The tiers share one direction of feedback — every hardware broadcast also
+// The fleet keeps one table of tiers, each with its own slots, spares, shared
+// collector and coverage series, and every barrier step runs once over the
+// table. The hardware pool is tier 0. With EmulShards > 0 an emulation tier
+// follows: a wide pool of cheap emulated shards (backend.Emulated over a spec
+// twin that keeps edge IDs comparable) explores the same campaign at
+// emulation speed. Feedback follows one rule: a board imports the deltas of
+// its own tier and of every tier before it, so every hardware broadcast also
 // reaches the emulation shards, but emulation discoveries never enter the
 // hardware corpus or shared collector directly. Instead, each emulation
 // shard queues its corpus admissions and crashes as confirmation items, and
@@ -49,6 +52,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -80,11 +84,6 @@ type Options struct {
 	// SyncEvery is the virtual interval between feedback-exchange barriers
 	// (default DefaultSyncEvery).
 	SyncEvery time.Duration
-	// FocusBoost, when positive, soft-partitions the search space: shard i
-	// biases fresh generation toward every i-th spec call by adding this
-	// weight, without removing any call from any shard. Zero disables
-	// focus (all shards explore uniformly, differing only by seed).
-	FocusBoost float64
 	// Spares is the hot-spare pool size: boards built alongside the shards
 	// (physical indices Shards..Shards+Spares-1) but held powered off until
 	// the supervisor promotes one into a quarantined slot.
@@ -142,8 +141,7 @@ func (o Options) Layout(triage bool) trace.Header {
 // Fleet is one sharded campaign over a board pool with hot-spare failover.
 type Fleet struct {
 	opts    Options
-	engines []*core.Engine // physical boards: shards first, then spares
-	shared  *cov.Collector
+	engines []*core.Engine // physical boards: shards, spares, triage board, emulation shards
 	ran     bool
 	// solo marks a fleet of one (see the package comment).
 	solo bool
@@ -153,29 +151,22 @@ type Fleet struct {
 	// checkpoint instead of dying mid-epoch.
 	stop atomic.Bool
 
-	// slots maps each shard slot to the physical board serving it (-1 when
-	// the slot is unmanned because the spare pool ran dry); spares is the
-	// FIFO of boards still in reserve; active marks boards that were ever
-	// powered on (their reports merge into the campaign report).
-	slots  []int
-	spares []int
-	active []bool
+	// tiers is the tier table, hardware first. boardTier maps each physical
+	// board to its tier's index (spares and the triage board are hardware);
+	// active marks boards that were ever powered on (their reports merge
+	// into the campaign report).
+	tiers     []*tier
+	boardTier []int
+	active    []bool
 
-	// history accumulates every broadcast delta so a promoted spare can be
-	// re-seeded with the fleet's collective feedback at promotion time.
-	history     core.SyncDelta
-	quarantines []core.Quarantine
-
+	quarantines   []core.Quarantine
 	sickThreshold float64
 
 	// journal is the campaign-level trace sink (cfg.TraceSink); each board
-	// writes into its own buffer, drained into the journal in slot order at
-	// every epoch barrier so the merged stream is deterministic. flushQueue
-	// holds, per slot, retired boards whose final events (ending in their
-	// quarantine) must flush before the slot's current occupant's stream.
-	journal    trace.Sink
-	buffers    []*trace.Buffer
-	flushQueue [][]int
+	// writes into its own buffer, drained into the journal in (tier, slot)
+	// order at every epoch barrier so the merged stream is deterministic.
+	journal trace.Sink
+	buffers []*trace.Buffer
 
 	// triageIdx is the dedicated triage board's physical index (after the
 	// spares; -1 when triage is disabled). Shards run with deferred triage
@@ -188,16 +179,8 @@ type Fleet struct {
 	triageDead bool
 	triaged    map[string]*core.BugReport
 
-	// Emulation tier state. emulIdx lists the emulated boards' physical
-	// indices (immutable, used for journal flushing); emulSlots mirrors it
-	// but drops to -1 when a shard is quarantined. Emulation coverage feeds
-	// its own shared collector — emulation edges reach the hardware
-	// collector only through a confirmed hardware replay. confirmNext is the
-	// persistent round-robin cursor over manned hardware slots for
-	// confirmation replays.
-	emulIdx     []int
-	emulSlots   []int
-	emulShared  *cov.Collector
+	// confirmNext is the persistent round-robin cursor over manned hardware
+	// slots for confirmation replays.
 	confirmNext int
 	divergences []core.TierDivergence
 	confirmed   int
@@ -206,29 +189,90 @@ type Fleet struct {
 	shardReports []*core.Report
 }
 
-// New builds a pool of opts.Shards+opts.Spares engines from cfg. Physical
-// board i runs with seed cfg.Seed + i*stride and feeds the fleet-wide shared
-// collector; shard slots also receive their round-robin slice of the API
-// surface as a soft generation bias when FocusBoost is set (a promoted spare
-// inherits its slot's focus). The board seed also feeds each board's
-// link-fault injector and degradation model (when their Seeds are zero), so
-// every board in the pool ages and faults deterministically but differently.
+// tier is one row of the tier table: slots fuzzing the campaign on one
+// substrate, with their own coverage collector.
+type tier struct {
+	class backend.Class
+	// tag names the tier in quarantine records: "" for hardware, "emul" for
+	// the emulation tier.
+	tag string
+	// slots maps each slot to the physical board serving it (-1 when the
+	// slot is unmanned); spares is the FIFO of boards still in reserve (only
+	// the hardware tier has any).
+	slots  []int
+	spares []int
+	// shared is the tier's live coverage set union, and series samples it
+	// at every barrier. Emulation edges reach the hardware collector only
+	// through a confirmed hardware replay.
+	shared *cov.Collector
+	series []core.CoverSample
+	// history accumulates the tier's broadcast deltas so a promoted spare is
+	// re-seeded with the tier's collective feedback.
+	history core.SyncDelta
+	// flushQueue holds, per slot, retired boards whose final events (ending
+	// in their quarantine) must flush before the slot's current occupant's
+	// stream.
+	flushQueue [][]int
+}
+
+func newTier(class backend.Class, tag string, slots int) *tier {
+	return &tier{class: class, tag: tag, shared: cov.NewCollector(), flushQueue: make([][]int, slots)}
+}
+
+// manned returns how many of t's slots currently have a board.
+func (t *tier) manned() int {
+	n := 0
+	for _, b := range t.slots {
+		if b >= 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// slotName names one of t's slots in errors.
+func (t *tier) slotName(slot int) string {
+	if t.tag == "" {
+		return fmt.Sprintf("shard %d", slot)
+	}
+	return fmt.Sprintf("%s shard %d", t.tag, slot)
+}
+
+// appendHistory accumulates a broadcast delta into the promotion history.
+// Only a spare still in reserve can need it, so a tier with none left (a
+// fleet of one never has any, nor does the emulation tier) keeps nothing.
+// ImportSyncDelta clones seed programs on import, so sharing the slices with
+// the original broadcast is safe.
+func (t *tier) appendHistory(d core.SyncDelta) {
+	if len(t.spares) == 0 {
+		return
+	}
+	t.history.Edges = append(t.history.Edges, d.Edges...)
+	t.history.Seeds = append(t.history.Seeds, d.Seeds...)
+	t.history.Rewards = append(t.history.Rewards, d.Rewards...)
+}
+
+// New builds the fleet's physical boards from cfg: opts.Shards hardware
+// slots, opts.Spares spares, the triage board when the campaign triages,
+// then opts.EmulShards emulated shards. Physical board i runs with seed
+// cfg.Seed + i*stride and feeds its tier's shared collector. The board seed
+// also feeds each board's link-fault injector and degradation model (when
+// their Seeds are zero), so every board in the pool ages and faults
+// deterministically but differently.
 func New(cfg core.Config, opts Options) (*Fleet, error) {
 	opts = opts.withDefaults()
 	lay := opts.Layout(cfg.Triage.Enabled)
 	f := &Fleet{
 		opts:          opts,
 		solo:          opts.solo(),
-		shared:        cov.NewCollector(),
+		tiers:         []*tier{newTier(backend.HW, "", opts.Shards)},
 		sickThreshold: cfg.Health.WithDefaults().SickThreshold,
+		journal:       cfg.TraceSink,
 		triageIdx:     -1,
 		triaged:       make(map[string]*core.BugReport),
 	}
 	if opts.EmulShards > 0 {
-		f.emulShared = cov.NewCollector()
-	}
-	if cfg.TraceSink != nil {
-		f.journal = cfg.TraceSink
+		f.tiers = append(f.tiers, newTier(backend.Emul, "emul", opts.EmulShards))
 	}
 	total := opts.Shards + opts.Spares
 	boards := total
@@ -239,13 +283,31 @@ func New(cfg core.Config, opts Options) (*Fleet, error) {
 		f.triageIdx = total
 		boards = total + 1
 	}
-	for i := 0; i < boards; i++ {
+	for i := 0; i < boards+opts.EmulShards; i++ {
 		scfg := cfg
 		scfg.Seed = cfg.Seed + int64(i)*shardSeedStride
 		scfg.Shard = i
-		scfg.Triage.Deferred = lay.Triage
-		if i < len(opts.Degrade) && i < total {
-			scfg.Degrade = opts.Degrade[i]
+		ti := 0
+		if i < boards {
+			scfg.Triage.Deferred = lay.Triage
+			if i < len(opts.Degrade) && i < total {
+				scfg.Degrade = opts.Degrade[i]
+			}
+		} else {
+			// The emulation tier's boards come last, so every hardware board
+			// keeps the physical index — and therefore the seed, fault stream
+			// and journal position — it would have in an untiered fleet.
+			// Emulation findings are provisional: no triage, no link faults,
+			// no hardware aging — the VM substrate has none of those failure
+			// modes, and crashes are confirmed (and then triaged) on hardware
+			// instead.
+			ti = 1
+			scfg.Backend = backend.Emulated()
+			scfg.Board = backend.EmulSpecFor(cfg.Board)
+			scfg.ConfirmCapture = true
+			scfg.Triage = core.TriageConfig{}
+			scfg.LinkFaults = link.FaultConfig{}
+			scfg.Degrade = board.DegradeConfig{}
 		}
 		if f.journal != nil {
 			// Buffer per board; the Run loop merges in slot order at each
@@ -260,86 +322,28 @@ func New(cfg core.Config, opts Options) (*Fleet, error) {
 			f.Close()
 			return nil, fmt.Errorf("fleet: board %d: %w", i, err)
 		}
-		e.SetSharedSink(f.shared)
+		t := f.tiers[ti]
+		e.SetSharedSink(t.shared)
 		switch {
-		case i < opts.Shards:
-			f.setFocus(e, i)
-			f.slots = append(f.slots, i)
+		case i < opts.Shards || i >= boards:
+			t.slots = append(t.slots, i)
 		case i < total:
-			f.spares = append(f.spares, i)
+			t.spares = append(t.spares, i)
 		}
 		f.engines = append(f.engines, e)
-	}
-	// The emulation tier's boards come last, so every hardware board keeps
-	// the physical index — and therefore the seed, fault stream and journal
-	// position — it would have in an untiered fleet.
-	for j := 0; j < opts.EmulShards; j++ {
-		i := boards + j
-		scfg := cfg
-		scfg.Seed = cfg.Seed + int64(i)*shardSeedStride
-		scfg.Shard = i
-		scfg.Backend = backend.Emulated()
-		scfg.Board = backend.EmulSpecFor(cfg.Board)
-		scfg.ConfirmCapture = true
-		// Emulation findings are provisional: no triage, no link faults, no
-		// hardware aging — the VM substrate has none of those failure modes,
-		// and crashes are confirmed (and then triaged) on hardware instead.
-		scfg.Triage = core.TriageConfig{}
-		scfg.LinkFaults = link.FaultConfig{}
-		scfg.Degrade = board.DegradeConfig{}
-		if f.journal != nil {
-			buf := trace.NewBuffer()
-			f.buffers = append(f.buffers, buf)
-			scfg.TraceSink = buf
-		}
-		e, err := core.NewEngine(scfg)
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("fleet: emul shard %d: %w", j, err)
-		}
-		e.SetSharedSink(f.emulShared)
-		f.emulIdx = append(f.emulIdx, i)
-		f.emulSlots = append(f.emulSlots, i)
-		f.engines = append(f.engines, e)
+		f.boardTier = append(f.boardTier, ti)
 	}
 	f.active = make([]bool, len(f.engines))
-	f.flushQueue = make([][]int, opts.Shards)
 	return f, nil
 }
 
-// setFocus applies slot's round-robin soft partition of the API surface to e.
-func (f *Fleet) setFocus(e *core.Engine, slot int) {
-	if f.opts.FocusBoost <= 0 || f.opts.Shards <= 1 {
-		return
-	}
-	var names []string
-	for j, name := range e.SpecCalls() {
-		if j%f.opts.Shards == slot {
-			names = append(names, name)
-		}
-	}
-	e.SetFocus(names, f.opts.FocusBoost)
-}
-
-// Engines exposes the pool (shards first, then spares) for tests and
-// experiment harnesses.
+// Engines exposes the physical boards (shards, spares, the triage board,
+// then the emulation shards) for tests and experiment harnesses.
 func (f *Fleet) Engines() []*core.Engine { return f.engines }
 
 // SharedEdges returns the hardware tier's fleet-wide distinct edge count so
 // far (the campaign's ground-truth coverage).
-func (f *Fleet) SharedEdges() int { return f.shared.Total() }
-
-// EmulEdges returns the emulation tier's distinct edge count so far (zero in
-// an untiered fleet).
-func (f *Fleet) EmulEdges() int {
-	if f.emulShared == nil {
-		return 0
-	}
-	return f.emulShared.Total()
-}
-
-// Divergences returns the cross-tier divergences recorded so far.
-func (f *Fleet) Divergences() []core.TierDivergence { return f.divergences }
+func (f *Fleet) SharedEdges() int { return f.tiers[0].shared.Total() }
 
 // Quarantines returns the quarantine records so far, in supervision order.
 func (f *Fleet) Quarantines() []core.Quarantine { return f.quarantines }
@@ -357,130 +361,89 @@ func (f *Fleet) RequestStop() {
 }
 
 // SeedFrom pre-seeds the whole pool from a resumed campaign's persisted
-// state before Run: the delta's edges become pre-seen in the shared
+// state before Run: the delta's edges become pre-seen in the hardware
 // collector and every engine, its seeds join every corpus, and the cluster
 // keys are marked known so the previous run's findings are not re-reported.
-// The delta also joins the broadcast history, so spares promoted later
-// inherit the resumed corpus exactly like live discoveries.
+// The delta also joins the hardware broadcast history, so spares promoted
+// later inherit the resumed corpus exactly like live discoveries.
 func (f *Fleet) SeedFrom(d core.SyncDelta, clusters []string) {
-	f.shared.Ingest(d.Edges)
+	hw := f.tiers[0]
+	hw.shared.Ingest(d.Edges)
 	for _, e := range f.engines {
 		e.ImportSyncDelta(d)
 		e.MarkKnownClusters(clusters)
 	}
-	f.appendHistory(d)
-}
-
-// mannedCount returns how many shard slots currently have a board.
-func (f *Fleet) mannedCount() int {
-	n := 0
-	for _, b := range f.slots {
-		if b >= 0 {
-			n++
-		}
-	}
-	return n
+	hw.appendHistory(d)
 }
 
 // Run executes the campaign with the given total board-time budget, split
-// evenly across the shard slots: each slot fuzzes for total/Shards of
-// virtual board time, so the pool's wall-clock is total/Shards. Boards that
-// die mid-campaign are quarantined at the next epoch barrier and replaced
-// from the spare pool; Run only fails when every slot is unmanned (or on a
-// non-death engine error). Run may be called once.
+// evenly across the hardware slots: each slot fuzzes for total/Shards of
+// virtual board time, so the pool's wall-clock is total/Shards, and the
+// emulation slots run the same epochs beside them. Boards that die
+// mid-campaign are quarantined at the next epoch barrier and replaced from
+// their tier's spares; Run only fails when every hardware slot is unmanned
+// (or on a non-death engine error). Run may be called once.
 func (f *Fleet) Run(total time.Duration) (*core.Report, error) {
 	if f.ran {
 		return nil, fmt.Errorf("fleet: Run called twice")
 	}
 	f.ran = true
-	n := f.opts.Shards
-	shardBudget := total / time.Duration(n)
+	hw := f.tiers[0]
+	shardBudget := total / time.Duration(f.opts.Shards)
 
-	// Provision and boot sequentially: board bring-up mutates no shared
-	// state, but a deterministic order keeps any setup-time failure and its
-	// quarantine/promotion handling stable.
-	for slot := 0; slot < n; slot++ {
-		if err := f.manSlot(slot); err != nil {
-			return nil, err
-		}
-	}
-	if f.mannedCount() == 0 {
-		f.flushJournal()
-		return nil, fmt.Errorf("fleet: every board died during setup: %w", core.ErrBoardDead)
-	}
-	// Bring up the emulation tier after the hardware pool. A VM that fails
-	// setup is quarantined like a dead board (the tier has no spares); any
-	// other error is campaign-fatal.
-	for j, b := range f.emulSlots {
-		f.active[b] = true
-		if err := f.engines[b].Setup(); err != nil {
-			if !errors.Is(err, core.ErrBoardDead) {
-				return nil, fmt.Errorf("fleet: emul shard %d setup: %w", j, err)
+	// Provision and boot sequentially, tier by tier: board bring-up mutates
+	// no shared state, but a deterministic order keeps any setup-time failure
+	// and its quarantine/promotion handling stable. A campaign whose hardware
+	// tier died fails before any emulation board boots.
+	for _, t := range f.tiers {
+		for slot := range t.slots {
+			if err := f.manSlot(t, slot); err != nil {
+				return nil, err
 			}
-			f.quarantineEmul(j, 0)
+		}
+		if hw.manned() == 0 {
+			f.flushJournal()
+			return nil, fmt.Errorf("fleet: every board died during setup: %w", core.ErrBoardDead)
 		}
 	}
 
-	var series, emulSeries []core.CoverSample
 	var elapsed time.Duration
 	start := f.engines[0].Clock().Now()
 	for epochs := 1; elapsed < shardBudget; epochs++ {
 		slice := min(f.opts.SyncEvery, shardBudget-elapsed)
-		// Run the epoch slice on every manned slot concurrently — hardware
-		// and emulation tiers alike. Each engine owns its board, link and
-		// RNG; the only shared state is a mutex-protected collector sink
-		// (one per tier), whose set union is order-independent.
-		occupants := make([]int, n)
-		copy(occupants, f.slots)
-		emulOcc := make([]int, len(f.emulSlots))
-		copy(emulOcc, f.emulSlots)
-		errs := make([]error, n)
-		emulErrs := make([]error, len(emulOcc))
+		// Run the epoch slice on every manned slot of every tier
+		// concurrently. Each engine owns its board, link and RNG; the only
+		// shared state is its tier's mutex-protected collector sink, whose
+		// set union is order-independent.
+		occupants := make([][]int, len(f.tiers))
+		errs := make([][]error, len(f.tiers))
 		var wg sync.WaitGroup
-		for slot, b := range occupants {
-			if b < 0 {
-				continue
+		for ti, t := range f.tiers {
+			occupants[ti] = slices.Clone(t.slots)
+			errs[ti] = make([]error, len(t.slots))
+			for slot, b := range t.slots {
+				if b < 0 {
+					continue
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					errs[ti][slot] = f.engines[b].RunFor(slice)
+				}()
 			}
-			wg.Add(1)
-			go func(slot, b int) {
-				defer wg.Done()
-				errs[slot] = f.engines[b].RunFor(slice)
-			}(slot, b)
-		}
-		for j, b := range emulOcc {
-			if b < 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(j, b int) {
-				defer wg.Done()
-				emulErrs[j] = f.engines[b].RunFor(slice)
-			}(j, b)
 		}
 		wg.Wait()
 		// A dead board is the supervisor's job at the barrier below; any
 		// other engine error stays campaign-fatal.
-		died := make([]bool, n)
-		for slot, err := range errs {
-			if err == nil {
-				continue
+		died := make([][]bool, len(f.tiers))
+		for ti, t := range f.tiers {
+			died[ti] = make([]bool, len(t.slots))
+			for slot, err := range errs[ti] {
+				if err != nil && !errors.Is(err, core.ErrBoardDead) {
+					return nil, fmt.Errorf("fleet: %s: %w", t.slotName(slot), err)
+				}
+				died[ti][slot] = err != nil
 			}
-			if errors.Is(err, core.ErrBoardDead) {
-				died[slot] = true
-				continue
-			}
-			return nil, fmt.Errorf("fleet: shard %d: %w", slot, err)
-		}
-		emulDied := make([]bool, len(emulOcc))
-		for j, err := range emulErrs {
-			if err == nil {
-				continue
-			}
-			if errors.Is(err, core.ErrBoardDead) {
-				emulDied[j] = true
-				continue
-			}
-			return nil, fmt.Errorf("fleet: emul shard %d: %w", j, err)
 		}
 		if f.solo {
 			// A fleet of one follows its board's clock: each slice absorbs the
@@ -491,108 +454,81 @@ func (f *Fleet) Run(total time.Duration) (*core.Report, error) {
 			elapsed += slice
 		}
 
-		// Barrier: exchange feedback in fixed slot order so every board sees
-		// the same import sequence run to run. A dying board's final partial
-		// delta still broadcasts — its discoveries outlive it.
-		deltas := make([]core.SyncDelta, n)
-		for slot, b := range occupants {
-			if b < 0 {
-				continue
+		// Barrier: exchange feedback in fixed (tier, slot) order so every
+		// board sees the same import sequence run to run. A dying board's
+		// final partial delta still broadcasts — its discoveries outlive it.
+		// A board imports the deltas of its own tier and of every tier
+		// before it, so feedback flows hardware -> emulation and never back:
+		// the hardware corpus only sees an emulation discovery through a
+		// confirmed replay, so an emulation-only artifact cannot steer the
+		// ground-truth tier.
+		deltas := make([][]core.SyncDelta, len(f.tiers))
+		for ti, t := range f.tiers {
+			deltas[ti] = make([]core.SyncDelta, len(t.slots))
+			for slot, b := range occupants[ti] {
+				if b >= 0 {
+					deltas[ti][slot] = f.engines[b].DrainSyncDelta()
+					t.appendHistory(deltas[ti][slot])
+				}
 			}
-			deltas[slot] = f.engines[b].DrainSyncDelta()
-			f.appendHistory(deltas[slot])
 		}
-		for slot := range occupants {
-			for j, b := range occupants {
-				if j == slot || b < 0 || died[j] {
+		for ti := range f.tiers {
+			for slot, b := range occupants[ti] {
+				if b < 0 || died[ti][slot] {
 					continue
 				}
-				f.engines[b].ImportSyncDelta(deltas[slot])
-			}
-		}
-		// Tier exchange: feedback flows hardware -> emulation and between
-		// emulation siblings, never emulation -> hardware. The hardware
-		// corpus only sees emulation discoveries through a confirmed replay,
-		// so an emulation-only artifact cannot steer the ground-truth tier.
-		emulDeltas := make([]core.SyncDelta, len(emulOcc))
-		for j, b := range emulOcc {
-			if b < 0 {
-				continue
-			}
-			emulDeltas[j] = f.engines[b].DrainSyncDelta()
-		}
-		for j, b := range emulOcc {
-			if b < 0 || emulDied[j] {
-				continue
-			}
-			e := f.engines[b]
-			for slot, ob := range occupants {
-				if ob < 0 {
-					continue
+				for si := 0; si <= ti; si++ {
+					for src, sb := range occupants[si] {
+						if sb >= 0 && sb != b {
+							f.engines[b].ImportSyncDelta(deltas[si][src])
+						}
+					}
 				}
-				e.ImportSyncDelta(deltas[slot])
-			}
-			for k := range emulOcc {
-				if k == j || emulOcc[k] < 0 {
-					continue
-				}
-				e.ImportSyncDelta(emulDeltas[k])
 			}
 		}
 
-		// Supervise in slot order: journal the epoch for survivors (a fleet
-		// of one exchanged nothing, so it journals no epoch), quarantine dead
-		// boards, retire the chronically sick (only when a spare is ready — a
-		// sick board still beats an empty slot), promote spares.
-		for slot, b := range occupants {
-			if b < 0 {
-				continue
-			}
-			e := f.engines[b]
-			if died[slot] {
-				if err := f.quarantine(slot, "dead", elapsed); err != nil {
-					return nil, err
+		// Supervise in (tier, slot) order: journal the epoch for survivors
+		// against their tier's collector (a fleet of one exchanged nothing,
+		// so it journals no epoch), quarantine dead boards, and retire the
+		// chronically sick for a spare that boots — a sick board still beats
+		// an empty slot.
+		for ti, t := range f.tiers {
+			for slot, b := range occupants[ti] {
+				if b < 0 {
+					continue
 				}
-				continue
-			}
-			if !f.solo {
-				e.Tracer().Emit(trace.Event{Kind: trace.SyncEpoch, Exec: epochs, Edges: f.shared.Total()})
-			}
-			if e.Health().Sick(f.sickThreshold) && len(f.spares) > 0 {
-				if err := f.quarantine(slot, "sick", elapsed); err != nil {
-					return nil, err
+				if died[ti][slot] {
+					if err := f.replace(t, slot, "dead", elapsed); err != nil {
+						return nil, err
+					}
+					continue
+				}
+				e := f.engines[b]
+				if !f.solo {
+					e.Tracer().Emit(trace.Event{Kind: trace.SyncEpoch, Exec: epochs, Edges: t.shared.Total()})
+				}
+				if e.Health().Sick(f.sickThreshold) {
+					if err := f.replace(t, slot, "sick", elapsed); err != nil {
+						return nil, err
+					}
 				}
 			}
 		}
-		// Supervise the emulation tier: journal the epoch against its own
-		// shared collector, quarantine dead VMs. No spares — a lost explore
-		// shard just narrows the tier.
-		for j, b := range emulOcc {
-			if b < 0 {
-				continue
-			}
-			if emulDied[j] {
-				f.quarantineEmul(j, elapsed)
-				continue
-			}
-			f.engines[b].Tracer().Emit(trace.Event{Kind: trace.SyncEpoch, Exec: epochs, Edges: f.emulShared.Total()})
-		}
-		if err := f.runConfirm(emulOcc, elapsed); err != nil {
+		if err := f.runConfirm(occupants, elapsed); err != nil {
 			return nil, err
 		}
-		if err := f.runTriage(occupants); err != nil {
+		if err := f.runTriage(occupants[0]); err != nil {
 			return nil, err
 		}
 		f.flushJournal()
-		if err := f.persistBarrier(epochs, elapsed, deltas); err != nil {
+		if err := f.persistBarrier(epochs, elapsed, deltas[0]); err != nil {
 			return nil, err
 		}
-		if f.mannedCount() == 0 {
+		if hw.manned() == 0 {
 			return nil, fmt.Errorf("fleet: every board dead after %v: %w", elapsed, core.ErrBoardDead)
 		}
-		series = append(series, core.CoverSample{At: elapsed, Edges: f.shared.Total()})
-		if f.emulShared != nil {
-			emulSeries = append(emulSeries, core.CoverSample{At: elapsed, Edges: f.emulShared.Total()})
+		for _, t := range f.tiers {
+			t.series = append(t.series, core.CoverSample{At: elapsed, Edges: t.shared.Total()})
 		}
 		if f.stop.Load() {
 			// Graceful shutdown: the barrier above already exchanged the last
@@ -601,21 +537,22 @@ func (f *Fleet) Run(total time.Duration) (*core.Report, error) {
 			break
 		}
 	}
-	return f.mergeReport(series, emulSeries), nil
+	return f.mergeReport(), nil
 }
 
 // persistBarrier commits one completed epoch to the durable store: every
-// broadcast seed with its edge attribution, the fleet-wide coverage bitmap,
-// the known crash clusters and each slot's resume cursor. Runs after the
-// journal flush so persistence events land at a deterministic stream
-// position; errors are campaign-fatal (a store that cannot accept writes is
-// losing the work the campaign exists to accumulate).
+// hardware broadcast seed with its edge attribution, the hardware coverage
+// bitmap, the known crash clusters and each hardware slot's resume cursor.
+// Runs after the journal flush so persistence events land at a deterministic
+// stream position; errors are campaign-fatal (a store that cannot accept
+// writes is losing the work the campaign exists to accumulate).
 func (f *Fleet) persistBarrier(epoch int, elapsed time.Duration, deltas []core.SyncDelta) error {
 	p := f.opts.Persist
 	if p == nil {
 		return nil
 	}
-	b := corpus.Barrier{Epoch: epoch, Elapsed: elapsed, Edges: f.shared.Edges()}
+	hw := f.tiers[0]
+	b := corpus.Barrier{Epoch: epoch, Elapsed: elapsed, Edges: hw.shared.Edges()}
 	for slot, d := range deltas {
 		for _, s := range d.Seeds {
 			blob, err := prog.ToJSON(s.P)
@@ -639,7 +576,7 @@ func (f *Fleet) persistBarrier(epoch int, elapsed time.Duration, deltas []core.S
 	for c := range clusters {
 		b.Clusters = append(b.Clusters, c)
 	}
-	for slot, bd := range f.slots {
+	for slot, bd := range hw.slots {
 		cur := corpus.ShardCursor{Shard: slot}
 		if bd >= 0 {
 			cur.Execs = f.engines[bd].Execs()
@@ -649,71 +586,72 @@ func (f *Fleet) persistBarrier(epoch int, elapsed time.Duration, deltas []core.S
 	return p.Barrier(b)
 }
 
-// manSlot performs initial bring-up of slot's board, quarantining setup-time
-// deaths and promoting spares until the slot is manned or the pool runs dry.
-func (f *Fleet) manSlot(slot int) error {
-	b := f.slots[slot]
+// manSlot performs initial bring-up of the board serving t's slot,
+// quarantining a setup-time death and promoting the tier's spares until the
+// slot is manned or the spares run dry.
+func (f *Fleet) manSlot(t *tier, slot int) error {
+	b := t.slots[slot]
 	f.active[b] = true
 	err := f.engines[b].Setup()
 	if err == nil {
 		return nil
 	}
 	if !errors.Is(err, core.ErrBoardDead) {
-		return fmt.Errorf("fleet: shard %d setup: %w", slot, err)
+		return fmt.Errorf("fleet: %s setup: %w", t.slotName(slot), err)
 	}
-	return f.quarantine(slot, "dead", 0)
+	return f.replace(t, slot, "dead", 0)
 }
 
-// quarantine retires the board serving slot and promotes the next viable
-// spare into it. The retired board's buffered events (ending with its
-// quarantine event) flush ahead of the slot's next occupant, keeping the
-// journal deterministic.
-func (f *Fleet) quarantine(slot int, reason string, at time.Duration) error {
-	b := f.slots[slot]
-	e := f.engines[b]
-	e.Tracer().Emit(trace.Event{Kind: trace.Quarantine, Exec: slot, Reason: reason})
-	f.flushQueue[slot] = append(f.flushQueue[slot], b)
-	f.slots[slot] = -1
-	f.quarantines = append(f.quarantines, core.Quarantine{
-		Slot: slot, Board: b, Spare: -1, Reason: reason, At: at, Health: e.Health(),
-	})
-	qi := len(f.quarantines) - 1
-	spare, err := f.promote(slot, at)
-	if err != nil {
-		return err
+// replace retires the board serving t's slot and promotes the tier's next
+// spare that survives bring-up, importing the tier's broadcast history so
+// the newcomer starts from the collective corpus. A dead board leaves at
+// once, so its slot goes unmanned when no spare boots; a sick board leaves
+// only once a spare has booted, since a sick board still beats an empty
+// slot. A spare that is dead on arrival earns its own quarantine record and
+// the next one is tried.
+func (f *Fleet) replace(t *tier, slot int, reason string, at time.Duration) error {
+	b := t.slots[slot]
+	qi := -1
+	if reason == "dead" {
+		qi = f.retire(t, slot, b, reason, at)
+		t.slots[slot] = -1
 	}
-	f.quarantines[qi].Spare = spare
-	return nil
-}
-
-// promote mans slot with the next spare that survives bring-up, importing
-// the cumulative broadcast history so the newcomer starts from the fleet's
-// collective corpus. Returns -1 when the spare pool ran dry. A spare that is
-// dead on arrival earns its own quarantine record and the next one is tried.
-func (f *Fleet) promote(slot int, at time.Duration) (int, error) {
-	for len(f.spares) > 0 {
-		s := f.spares[0]
-		f.spares = f.spares[1:]
+	for len(t.spares) > 0 {
+		s := t.spares[0]
+		t.spares = t.spares[1:]
 		e := f.engines[s]
 		f.active[s] = true
 		if err := e.Setup(); err != nil {
 			if !errors.Is(err, core.ErrBoardDead) {
-				return -1, fmt.Errorf("fleet: spare %d setup: %w", s, err)
+				return fmt.Errorf("fleet: spare %d setup: %w", s, err)
 			}
-			e.Tracer().Emit(trace.Event{Kind: trace.Quarantine, Exec: slot, Reason: "dead"})
-			f.flushQueue[slot] = append(f.flushQueue[slot], s)
-			f.quarantines = append(f.quarantines, core.Quarantine{
-				Slot: slot, Board: s, Spare: -1, Reason: "dead", At: at, Health: e.Health(),
-			})
+			f.retire(t, slot, s, "dead", at)
 			continue
 		}
-		f.setFocus(e, slot)
-		e.ImportSyncDelta(f.history)
-		e.Tracer().Emit(trace.Event{Kind: trace.SparePromote, Exec: slot, Edges: len(f.history.Edges)})
-		f.slots[slot] = s
-		return s, nil
+		if qi < 0 {
+			qi = f.retire(t, slot, b, reason, at)
+		}
+		f.quarantines[qi].Spare = s
+		e.ImportSyncDelta(t.history)
+		e.Tracer().Emit(trace.Event{Kind: trace.SparePromote, Exec: slot, Edges: len(t.history.Edges)})
+		t.slots[slot] = s
+		return nil
 	}
-	return -1, nil
+	return nil
+}
+
+// retire quarantines board b, which served or was to serve t's slot, and
+// returns its record's index. Its buffered events, ending with the
+// quarantine event, flush ahead of the slot's next occupant, keeping the
+// journal deterministic.
+func (f *Fleet) retire(t *tier, slot, b int, reason string, at time.Duration) int {
+	e := f.engines[b]
+	e.Tracer().Emit(trace.Event{Kind: trace.Quarantine, Exec: slot, Reason: reason})
+	t.flushQueue[slot] = append(t.flushQueue[slot], b)
+	f.quarantines = append(f.quarantines, core.Quarantine{
+		Slot: slot, Board: b, Spare: -1, Reason: reason, At: at, Health: e.Health(), Tier: t.tag,
+	})
+	return len(f.quarantines) - 1
 }
 
 // runTriage drains every occupant's deferred triage queue onto the dedicated
@@ -754,32 +692,21 @@ func (f *Fleet) runTriage(occupants []int) error {
 	return nil
 }
 
-// quarantineEmul retires emulation shard j. The tier has no spares, so the
-// slot stays unmanned; the shard's buffered events (ending with its
-// quarantine) flush with the tier at the barrier.
-func (f *Fleet) quarantineEmul(j int, at time.Duration) {
-	b := f.emulSlots[j]
-	e := f.engines[b]
-	e.Tracer().Emit(trace.Event{Kind: trace.Quarantine, Exec: j, Reason: "dead"})
-	f.emulSlots[j] = -1
-	f.quarantines = append(f.quarantines, core.Quarantine{
-		Slot: j, Board: b, Spare: -1, Reason: "dead", At: at, Health: e.Health(), Tier: "emul",
-	})
-}
-
-// runConfirm drains every emulation shard's confirmation queue, in tier-slot
-// order, and replays each item on the hardware pool round-robin (the cursor
-// persists across barriers so replay load spreads evenly). Dead emulation
-// shards still appear in emulOcc, so a dying shard's last findings are
-// confirmed too.
-func (f *Fleet) runConfirm(emulOcc []int, at time.Duration) error {
-	for _, b := range emulOcc {
-		if b < 0 {
-			continue
-		}
-		for _, item := range f.engines[b].DrainConfirmQueue() {
-			if err := f.confirmOne(b, item, at); err != nil {
-				return err
+// runConfirm drains the confirmation queue of every board in the tiers after
+// the hardware tier, in (tier, slot) order, and replays each item on the
+// hardware pool round-robin (the cursor persists across barriers so replay
+// load spreads evenly). Dead boards still appear in occupants, so a dying
+// shard's last findings are confirmed too.
+func (f *Fleet) runConfirm(occupants [][]int, at time.Duration) error {
+	for _, occ := range occupants[1:] {
+		for _, b := range occ {
+			if b < 0 {
+				continue
+			}
+			for _, item := range f.engines[b].DrainConfirmQueue() {
+				if err := f.confirmOne(b, item, at); err != nil {
+					return err
+				}
 			}
 		}
 	}
@@ -791,16 +718,17 @@ func (f *Fleet) runConfirm(emulOcc []int, at time.Duration) error {
 // the slot and retries the item on the next one; the campaign only fails when
 // no hardware board remains to confirm on.
 func (f *Fleet) confirmOne(src int, item core.ConfirmItem, at time.Duration) error {
+	hw := f.tiers[0]
 	for {
 		slot := f.nextConfirmSlot()
 		if slot < 0 {
 			return fmt.Errorf("fleet: every hardware board dead during confirmation: %w", core.ErrBoardDead)
 		}
-		e := f.engines[f.slots[slot]]
+		e := f.engines[hw.slots[slot]]
 		res, err := e.ConfirmProg(item.P)
 		if err != nil {
 			if errors.Is(err, core.ErrBoardDead) {
-				if qerr := f.quarantine(slot, "dead", at); qerr != nil {
+				if qerr := f.replace(hw, slot, "dead", at); qerr != nil {
 					return qerr
 				}
 				continue
@@ -815,10 +743,11 @@ func (f *Fleet) confirmOne(src int, item core.ConfirmItem, at time.Duration) err
 // nextConfirmSlot returns the next manned hardware slot in round-robin
 // order, or -1 when every slot is unmanned.
 func (f *Fleet) nextConfirmSlot() int {
-	n := f.opts.Shards
+	slots := f.tiers[0].slots
+	n := len(slots)
 	for i := 0; i < n; i++ {
 		slot := (f.confirmNext + i) % n
-		if f.slots[slot] >= 0 {
+		if slots[slot] >= 0 {
 			f.confirmNext = (slot + 1) % n
 			return slot
 		}
@@ -890,47 +819,31 @@ func copyTriage(from, to *core.BugReport) {
 	to.Prog = from.Prog
 }
 
-// appendHistory accumulates a broadcast delta into the promotion history.
-// Only a spare still in reserve can need it, so a pool with none left (a
-// fleet of one never has any) keeps nothing. ImportSyncDelta clones seed
-// programs on import, so sharing the slices with the original broadcast is
-// safe.
-func (f *Fleet) appendHistory(d core.SyncDelta) {
-	if len(f.spares) == 0 {
-		return
-	}
-	f.history.Edges = append(f.history.Edges, d.Edges...)
-	f.history.Seeds = append(f.history.Seeds, d.Seeds...)
-	f.history.Rewards = append(f.history.Rewards, d.Rewards...)
-}
-
-// flushJournal drains buffered events into the campaign journal in slot
-// order: first each slot's retired boards (their streams end with the
+// flushJournal drains buffered events into the campaign journal in (tier,
+// slot) order: first each slot's retired boards (their streams end with the
 // quarantine event), then the slot's current occupant. Supervision happens
-// in slot order before the flush, so the merged stream is identical run to
-// run.
+// in the same order before the flush, so the merged stream is identical run
+// to run. The triage board's events (all produced at the barrier, after
+// every shard's slice) flush right after the hardware tier, so appending
+// the emulation tier keeps the hardware prefix of a tiered journal identical
+// to the untiered journal.
 func (f *Fleet) flushJournal() {
 	if f.journal == nil {
 		return
 	}
-	for slot := 0; slot < f.opts.Shards; slot++ {
-		for _, b := range f.flushQueue[slot] {
-			f.flushBuffer(b)
+	for ti, t := range f.tiers {
+		for slot, retired := range t.flushQueue {
+			for _, b := range retired {
+				f.flushBuffer(b)
+			}
+			t.flushQueue[slot] = nil
+			if b := t.slots[slot]; b >= 0 {
+				f.flushBuffer(b)
+			}
 		}
-		f.flushQueue[slot] = nil
-		if b := f.slots[slot]; b >= 0 {
-			f.flushBuffer(b)
+		if ti == 0 && f.triageIdx >= 0 {
+			f.flushBuffer(f.triageIdx)
 		}
-	}
-	// The triage board's events (all produced at the barrier, after every
-	// shard's slice) flush next, then the emulation tier in slot order —
-	// appending the tier's streams keeps the hardware prefix of a tiered
-	// journal identical to the untiered journal.
-	if f.triageIdx >= 0 {
-		f.flushBuffer(f.triageIdx)
-	}
-	for _, b := range f.emulIdx {
-		f.flushBuffer(b)
 	}
 }
 
@@ -957,10 +870,11 @@ func (f *Fleet) ShardReports() []*core.Report { return f.shardReports }
 // bucket; afterwards every activated board's TimeBy sums to the pool
 // Duration and the merged TimeBy sums to activated-boards x Duration. The
 // merged Health is the pool's sickest board; BoardHealth and Quarantines
-// carry the full story. A fleet of one has nothing to merge: its board's
-// report, with the board's own coverage series and per-command link stats,
-// is the campaign's, exactly as engine.Run returns it.
-func (f *Fleet) mergeReport(series, emulSeries []core.CoverSample) *core.Report {
+// carry the full story, and a tiered pool adds one TierStats per tier. A
+// fleet of one has nothing to merge: its board's report, with the board's
+// own coverage series and per-command link stats, is the campaign's,
+// exactly as engine.Run returns it.
+func (f *Fleet) mergeReport() *core.Report {
 	if f.solo {
 		rep := f.engines[0].Report()
 		f.shardReports = []*core.Report{rep}
@@ -968,33 +882,27 @@ func (f *Fleet) mergeReport(series, emulSeries []core.CoverSample) *core.Report 
 		f.flushJournal()
 		return rep
 	}
+	hw := f.tiers[0]
 	out := &core.Report{
-		Series: series, Edges: f.shared.Total(),
+		Series: hw.series, Edges: hw.shared.Total(),
 		Quarantines: f.quarantines, Divergences: f.divergences,
 	}
-	tiered := len(f.emulIdx) > 0
-	emulStart := len(f.engines)
-	if tiered {
-		emulStart = f.emulIdx[0]
+	tiers := make([]core.TierStats, len(f.tiers))
+	for ti, t := range f.tiers {
+		tiers[ti] = core.TierStats{Class: t.class.String(), Edges: t.shared.Total(), Series: t.series}
 	}
-	hwTier := core.TierStats{Class: backend.HW.String(), Edges: f.shared.Total(), Confirmed: f.confirmed, Diverged: f.diverged}
-	emTier := core.TierStats{Class: backend.Emul.String()}
-	if tiered {
-		emTier.Edges = f.emulShared.Total()
-		hwTier.Series = series
-		emTier.Series = emulSeries
-	}
+	tiers[0].Confirmed, tiers[0].Diverged = f.confirmed, f.diverged
 	seen := make(map[string]bool)
 	f.shardReports = f.shardReports[:0]
-	var emul []bool // aligned with shardReports
+	var reportTier []int // aligned with shardReports
 	for b, e := range f.engines {
 		if !f.active[b] {
 			continue
 		}
 		r := e.Report()
 		f.shardReports = append(f.shardReports, r)
-		emul = append(emul, b >= emulStart)
-		if b < emulStart {
+		reportTier = append(reportTier, f.boardTier[b])
+		if f.boardTier[b] == 0 {
 			out.OS, out.Board = r.OS, r.Board
 		}
 		out.Stats.Merge(r.Stats)
@@ -1026,19 +934,14 @@ func (f *Fleet) mergeReport(series, emulSeries []core.CoverSample) *core.Report 
 	for i, r := range f.shardReports {
 		r.TimeBy.SyncBarrier += out.Duration - r.Duration
 		out.TimeBy.Merge(r.TimeBy)
-		if emul[i] {
-			emTier.Boards++
-			emTier.Execs += r.Stats.Execs
-			emTier.TimeBy.Merge(r.TimeBy)
-		} else {
-			hwTier.Boards++
-			hwTier.Execs += r.Stats.Execs
-			hwTier.ConfirmReplays += r.Stats.ConfirmReplays
-			hwTier.TimeBy.Merge(r.TimeBy)
-		}
+		ts := &tiers[reportTier[i]]
+		ts.Boards++
+		ts.Execs += r.Stats.Execs
+		ts.ConfirmReplays += r.Stats.ConfirmReplays
+		ts.TimeBy.Merge(r.TimeBy)
 	}
-	if tiered {
-		out.Tiers = []core.TierStats{hwTier, emTier}
+	if len(tiers) > 1 {
+		out.Tiers = tiers
 	}
 	// Journal each activated board's final time budget now that barrier-idle
 	// time is attributed (every shard's buckets sum to the pool Duration), then

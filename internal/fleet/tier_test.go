@@ -1,11 +1,13 @@
 package fleet
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
 	"github.com/eof-fuzz/eof/internal/backend"
+	"github.com/eof-fuzz/eof/internal/board"
 	"github.com/eof-fuzz/eof/internal/core"
 	"github.com/eof-fuzz/eof/internal/trace"
 )
@@ -89,7 +91,8 @@ func TestTieredFleetConfirmsEveryEmulationFinding(t *testing.T) {
 		t.Fatalf("emulation tier billed confirming time: %v", em.TimeBy.Confirming)
 	}
 
-	ev := splitTieredEvents(buf.Events(), f.emulIdx[0])
+	emulStart := opts.Layout(cfg.Triage.Enabled).EmulStart()
+	ev := splitTieredEvents(buf.Events(), emulStart)
 	if ev.emulCorpusAdds == 0 {
 		t.Fatal("emulation tier admitted nothing — campaign too short to exercise confirmation")
 	}
@@ -116,7 +119,7 @@ func TestTieredFleetConfirmsEveryEmulationFinding(t *testing.T) {
 		default:
 			t.Fatalf("unknown divergence kind %q", d.Kind)
 		}
-		if d.Prog == "" || d.Shard < f.emulIdx[0] {
+		if d.Prog == "" || d.Shard < emulStart {
 			t.Fatalf("divergence missing provenance: %+v", d)
 		}
 	}
@@ -247,5 +250,96 @@ func TestTiersOffIsByteIdentical(t *testing.T) {
 			t.Fatalf("untiered report billed confirmation: %d replays, %v",
 				rep.Stats.ConfirmReplays, rep.TimeBy.Confirming)
 		}
+	}
+}
+
+// TestEmulShardQuarantine kills one emulation shard, once at setup and once
+// mid-run, and checks the tier's supervision: the shard is quarantined with
+// no spare, its stream ends with the quarantine and flushes at its tier-slot
+// position, the campaign finishes, and every emulation finding, the dying
+// shard's last ones included, still draws exactly one hardware verdict.
+func TestEmulShardQuarantine(t *testing.T) {
+	// One hardware board, then emulation slots 0 and 1 at physical 1 and 2.
+	const doomed = 1
+	for _, tc := range []struct {
+		dieAfterBoots int
+		at            time.Duration
+	}{{1, 0}, {3, 15 * time.Second}} {
+		t.Run(fmt.Sprintf("die-after-%d-boots", tc.dieAfterBoots), func(t *testing.T) {
+			cfg := fleetConfig(t, "freertos", 7)
+			buf := trace.NewBuffer()
+			cfg.TraceSink = buf
+			// Short epochs keep the emulation work small under -race.
+			f, err := New(cfg, Options{Shards: 1, SyncEvery: 15 * time.Second, EmulShards: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			f.Engines()[doomed].Board().SetDegrade(board.DegradeConfig{DieAfterBoots: tc.dieAfterBoots, Seed: 1})
+			rep, err := f.Run(30 * time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Quarantines) != 1 {
+				t.Fatalf("quarantines: %+v, want exactly one", rep.Quarantines)
+			}
+			q := rep.Quarantines[0]
+			if q.Tier != "emul" || q.Slot != 0 || q.Board != doomed || q.Spare != -1 || q.Reason != "dead" || !q.Health.Dead {
+				t.Fatalf("emulation quarantine record: %+v", q)
+			}
+			if q.At != tc.at {
+				t.Fatalf("quarantined at %v, want %v", q.At, tc.at)
+			}
+
+			evs := buf.Events()
+			qi := -1
+			for i, ev := range evs {
+				if ev.Kind != trace.Quarantine {
+					continue
+				}
+				if qi >= 0 {
+					t.Fatalf("second quarantine event: %+v", ev)
+				}
+				qi = i
+			}
+			if qi < 0 || evs[qi].Shard != doomed || evs[qi].Exec != 0 || evs[qi].Reason != "dead" {
+				t.Fatalf("quarantine event missing or wrong")
+			}
+			// Only the closing time-budget records follow in its stream.
+			for _, ev := range evs[qi+1:] {
+				if ev.Shard == doomed && ev.Kind != trace.TimeBudget {
+					t.Fatalf("%s event after the quarantine of shard %d", ev.Kind, doomed)
+				}
+			}
+			// Its block flushes after the hardware tier and before emulation
+			// slot 1.
+			start := qi
+			for start > 0 && evs[start-1].Shard == doomed {
+				start--
+			}
+			if start == 0 || evs[start-1].Shard != 0 {
+				t.Fatalf("dying shard's block does not follow the hardware tier (event %d)", start)
+			}
+			if qi+1 >= len(evs) || evs[qi+1].Shard != doomed+1 {
+				t.Fatalf("dying shard's block is not followed by emulation slot 1")
+			}
+
+			ev := splitTieredEvents(evs, doomed)
+			if ev.confirms+ev.emulOnlyDiv != ev.emulCorpusAdds+ev.emulBugs {
+				t.Fatalf("confirmation not exhaustive: %d confirm + %d emul-only diverge vs %d corpus-add + %d bug",
+					ev.confirms, ev.emulOnlyDiv, ev.emulCorpusAdds, ev.emulBugs)
+			}
+			dyingAdds := 0
+			for _, e := range evs[:qi] {
+				if e.Shard == doomed && e.Kind == trace.CorpusAdd {
+					dyingAdds++
+				}
+			}
+			if tc.at > 0 && dyingAdds == 0 {
+				t.Fatal("the shard dying mid-run admitted nothing, so no last findings were confirmed")
+			}
+			t.Logf("%d emulation corpus-adds (%d from the dying shard), %d confirms, %d emul-only divergences",
+				ev.emulCorpusAdds, dyingAdds, ev.confirms, ev.emulOnlyDiv)
+		})
 	}
 }

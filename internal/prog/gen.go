@@ -72,28 +72,6 @@ type Generator struct {
 	// dependency graph is ignored. Used by the generation-guidance ablation
 	// (the AFL-style configuration the paper contrasts against).
 	RandomOnly bool
-
-	// focus soft-biases call selection toward the named calls without
-	// removing the rest of the API surface. Fleet shards use it to give each
-	// engine a different emphasis while keeping every call reachable.
-	focus      map[string]bool
-	focusBoost float64
-}
-
-// SetFocus biases chooseCall toward the named calls by adding boost to their
-// sampling weight. Unlike a CallFilter it keeps the full API surface
-// available, so cross-call state machines stay reachable. nil/empty clears
-// the focus.
-func (g *Generator) SetFocus(names []string, boost float64) {
-	if len(names) == 0 || boost <= 0 {
-		g.focus, g.focusBoost = nil, 0
-		return
-	}
-	g.focus = make(map[string]bool, len(names))
-	for _, n := range names {
-		g.focus[n] = true
-	}
-	g.focusBoost = boost
 }
 
 // NewGenerator creates a deterministic generator. ct may be shared with the
@@ -146,9 +124,6 @@ func (g *Generator) chooseCall(p *Prog) *syzlang.Call {
 			w += 0.5
 		}
 		w += g.ct.Score(last, c.Name)
-		if g.focus[c.Name] {
-			w += g.focusBoost
-		}
 		weights[i] = w
 		total += w
 	}

@@ -8,12 +8,15 @@ import (
 	"time"
 )
 
-// TestSoloCampaignGolden pins single-board campaigns, driven through the
-// public API, to values recorded while solo campaigns still ran their own
-// engine and checkpoint loops (before they became a fleet of one). Each case
-// records the SHA-256 of the full journal (header included) and of the
-// rendered public report, so any change to what a solo campaign executes,
-// journals, triages, checkpoints or reports shows up here.
+// TestSoloCampaignGolden pins campaigns driven through the public API. The
+// single-board cases hold values recorded while solo campaigns still ran
+// their own engine and checkpoint loops (before they became a fleet of one);
+// the pooled cases hold values recorded while the fleet still drove its
+// hardware and emulation tiers through separate copies of each barrier step.
+// Each case records the SHA-256 of the full journal (header included) and of
+// the rendered public report, so any change to what a campaign executes,
+// journals, triages, confirms, quarantines, checkpoints or reports shows up
+// here. A campaign that must fail records its journal digest and error text.
 func TestSoloCampaignGolden(t *testing.T) {
 	store := t.TempDir()
 	cases := []struct {
@@ -76,6 +79,51 @@ execs=1587 edges=1138 bugs=1 duration=900606589933 checkpoints=2`,
 report=f3a9e41b7b2d87d943f19ea4704d2dda1df5b41551d4277fb4613f7beeba37df
 execs=853 edges=1003 bugs=4 duration=480095044731 checkpoints=2`,
 		},
+		{
+			name: "tiered-snapshots-triage",
+			opts: Options{OS: "freertos", Seed: 7, Tiers: true, EmulShards: 2, Snapshots: true, Triage: true,
+				SyncEvery: 30 * time.Second},
+			budget: time.Minute,
+			want: `journal=f6186498f21bb1dda48e608103aca13f43d34d861802ac4cf5c5f03b17f1e85c
+report=b007262fa44b983a50619ff5f07f3fadf3d05c2389879cd62c74c3dde12a335f
+execs=2774 edges=950 bugs=2 duration=331682394660 checkpoints=0`,
+		},
+		{
+			name: "spare-promoted-at-setup",
+			opts: Options{OS: "freertos", Seed: 5, Shards: 2, Spares: 1, Triage: true, SyncEvery: 2 * time.Minute,
+				Degrade: DegradeOptions{DeathRate: 0.05}},
+			budget: 8 * time.Minute,
+			want: `journal=39360a89bd39d6ae7f069ca90a38138925d27c2e0406f8b2ef433fc23081d548
+report=3fce6b745e7217dbecebb62e74cf346a7b8124563dff14307e3a1e8b764b392d
+execs=702 edges=908 bugs=2 duration=244782683702 checkpoints=0`,
+		},
+		{
+			name: "sick-quarantine",
+			opts: Options{OS: "rtthread", Seed: 7, Shards: 2, Spares: 2, SyncEvery: 2 * time.Minute,
+				Health:  HealthOptions{SickThreshold: 0.9},
+				Degrade: DegradeOptions{BootFailRate: 0.3, WearLimit: 20}},
+			budget: 12 * time.Minute,
+			want: `journal=aa2bcaa9e4c793fa6e2893fc1cdfd99ec02d0c544a9cf1ff960926de6aad47db
+report=fcd558445149d593abd5bf74dc8f02a5e8d445bbae69e198b9769adbd3564ea1
+execs=617 edges=958 bugs=7 duration=304367611791 checkpoints=0`,
+		},
+		{
+			name: "tiered-faults-persist",
+			opts: Options{OS: "freertos", Seed: 7, Tiers: true, EmulShards: 1, LinkFaultRate: 0.05,
+				CorpusDir: t.TempDir(), SyncEvery: 30 * time.Second},
+			budget: time.Minute,
+			want: `journal=e300c7c479b8807568c5b6dcd56973e1e6c3ec3c23f7dba039816c25a02dd010
+report=924f7404799c9da7ba6c32c9180cf24d66a7b9ad62022b4244cfd4e90aed05f8
+execs=1372 edges=844 bugs=2 duration=453651878642 checkpoints=2`,
+		},
+		{
+			name: "all-hardware-dead-at-setup",
+			opts: Options{OS: "freertos", Seed: 7, Shards: 2, Spares: 1, Tiers: true, EmulShards: 1, Triage: true,
+				Degrade: DegradeOptions{DieAfterBoots: 1}},
+			budget: 8 * time.Minute,
+			want: `journal=e1d075c96adc1ebd193e7a83c90e5e526307a330ccd133d7b03e1325d3243752
+err=fleet: every board died during setup: core: board dead`,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -95,10 +143,13 @@ execs=853 edges=1003 bugs=4 duration=480095044731 checkpoints=2`,
 				}
 			}
 			rep, err := c.Run(tc.budget)
+			var got string
 			if err != nil {
-				t.Fatal(err)
+				got = fmt.Sprintf("journal=%s\nerr=%v", hex.EncodeToString(h.Sum(nil)), err)
+			} else {
+				got = soloGolden(h.Sum(nil), rep)
 			}
-			if got := soloGolden(h.Sum(nil), rep); got != tc.want {
+			if got != tc.want {
 				t.Fatalf("solo campaign golden changed:\n got:\n%s\nwant:\n%s", got, tc.want)
 			}
 		})
