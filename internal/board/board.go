@@ -730,7 +730,10 @@ func (b *Board) RestoreSnapshot() (RestoreStats, error) {
 	// Overwrite RAM with the golden bytes wholesale. The replay reproduced
 	// the kernel's object state; this squashes any byte-level drift (e.g. a
 	// coverage buffer the host had already drained at capture time).
-	copy(b.ram.Bytes(), b.snap.ram)
+	if err := b.memmap.Write(b.ram.Base, b.snap.ram); err != nil {
+		b.shutdown()
+		return st, err
+	}
 	b.ram.ClearDirty()
 	if rt.env.Cov != nil {
 		rt.env.Cov.SyncFromRAM()

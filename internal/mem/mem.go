@@ -77,6 +77,10 @@ type Region struct {
 	// they are treated as always dirty.
 	dirty  []bool
 	pinned []bool
+	// writes counts the writes through the map and the Resets. Code that
+	// caches what it read from the region (the kernel heap's first-fit walk)
+	// trusts the cache only while this count is unchanged.
+	writes uint64
 }
 
 // NewRegion allocates a region of the given size filled with zeros.
@@ -157,7 +161,12 @@ func (r *Region) Reset() {
 	clear(r.data)
 	clear(r.dirty)
 	clear(r.pinned)
+	r.writes++
 }
+
+// Writes returns how many writes through the map and Resets the region has
+// seen. Device writes through Bytes() are not counted.
+func (r *Region) Writes() uint64 { return r.writes }
 
 // Map is an ordered set of non-overlapping regions.
 type Map struct {
@@ -229,6 +238,7 @@ func (m *Map) slice(addr uint64, size int, op string, need Perm) ([]byte, error)
 	off := addr - r.Base
 	if need&Write != 0 {
 		r.markDirty(off, size)
+		r.writes++
 	}
 	return r.data[off : off+uint64(size)], nil
 }

@@ -27,6 +27,27 @@ func TestReadWriteRoundTrip(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatalf("got %v want %v", got, data)
 	}
+
+	// Every write through the map and every Reset counts; reads and
+	// rejected writes do not.
+	ram := m.Lookup("ram")
+	steps := []func(){
+		func() { m.PutU32(0x2000_0020, 7) },
+		func() { m.Fill(0x2000_0030, 4, 0xAA) },
+		func() { ram.Reset() },
+	}
+	for i, step := range steps {
+		step()
+		if got := ram.Writes(); got != uint64(i+2) {
+			t.Fatalf("after step %d: %d writes, want %d", i, got, i+2)
+		}
+	}
+	m.Read(0x2000_0000, 8)
+	m.Write(0x2000_0FFE, data)
+	m.Write(0x0800_0000, data)
+	if got := ram.Writes(); got != uint64(len(steps)+1) {
+		t.Fatalf("reads and rejected writes counted: %d writes", got)
+	}
 }
 
 func TestPermissionFaults(t *testing.T) {

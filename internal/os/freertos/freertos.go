@@ -249,11 +249,11 @@ func (o *OS) buildTable() {
 			return 0, e
 		}
 		t := obj.Data.(*rtos.Task)
-		if t.State == rtos.TaskRunning {
+		if t.State() == rtos.TaskRunning {
 			f.B(2) // deleting the running task defers to idle cleanup
 		}
 		f.B(3)
-		t.State = rtos.TaskDead
+		k.Sched.SetState(t, rtos.TaskDead)
 		return 0, k.Objects.Delete(obj.ID)
 	})
 
@@ -284,11 +284,11 @@ func (o *OS) buildTable() {
 			return 0, rtos.ErrInval
 		}
 		t := obj.Data.(*rtos.Task)
-		if prio < t.Prio {
+		if prio < t.Prio() {
 			f.B(3) // raising priority may preempt
 		}
 		f.B(4)
-		t.Prio = prio
+		k.Sched.SetPrio(t, prio)
 		t.BasePrio = prio
 		return 0, rtos.OK
 	})
@@ -300,12 +300,12 @@ func (o *OS) buildTable() {
 			return 0, e
 		}
 		t := obj.Data.(*rtos.Task)
-		if t.State == rtos.TaskDead {
+		if t.State() == rtos.TaskDead {
 			f.B(2)
 			return 0, rtos.ErrState
 		}
 		f.B(3)
-		t.State = rtos.TaskSuspended
+		k.Sched.SetState(t, rtos.TaskSuspended)
 		return 0, rtos.OK
 	})
 
@@ -316,12 +316,12 @@ func (o *OS) buildTable() {
 			return 0, e
 		}
 		t := obj.Data.(*rtos.Task)
-		if t.State != rtos.TaskSuspended {
+		if t.State() != rtos.TaskSuspended {
 			f.B(2)
 			return 0, rtos.ErrState
 		}
 		f.B(3)
-		t.State = rtos.TaskReady
+		k.Sched.SetState(t, rtos.TaskReady)
 		return 0, rtos.OK
 	})
 

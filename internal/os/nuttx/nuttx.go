@@ -187,7 +187,7 @@ func (o *OS) buildTable() {
 			return 0, e
 		}
 		f.B(2)
-		obj.Data.(*rtos.Task).State = rtos.TaskDead
+		k.Sched.SetState(obj.Data.(*rtos.Task), rtos.TaskDead)
 		return 0, k.Objects.Delete(obj.ID)
 	})
 
@@ -418,7 +418,7 @@ func (o *OS) buildTable() {
 		}
 		o.fnTryWait.Enter()
 		defer o.fnTryWait.Exit()
-		if !obj.Alive {
+		if !obj.Alive() {
 			o.fnTryWait.B(1)
 			k.Assert(false, "sem->semcount >= SEM_VALUE_IRQ")
 		}

@@ -194,7 +194,7 @@ func (o *OS) buildTable() {
 			return 0, e
 		}
 		f.B(2)
-		obj.Data.(*rtos.Task).State = rtos.TaskSuspended
+		k.Sched.SetState(obj.Data.(*rtos.Task), rtos.TaskSuspended)
 		return 0, rtos.OK
 	})
 
@@ -205,12 +205,12 @@ func (o *OS) buildTable() {
 			return 0, e
 		}
 		t := obj.Data.(*rtos.Task)
-		if t.State != rtos.TaskSuspended {
+		if t.State() != rtos.TaskSuspended {
 			f.B(2)
 			return 0, rtos.ErrState
 		}
 		f.B(3)
-		t.State = rtos.TaskReady
+		k.Sched.SetState(t, rtos.TaskReady)
 		return 0, rtos.OK
 	})
 

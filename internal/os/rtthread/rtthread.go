@@ -261,7 +261,7 @@ func (o *OS) buildTable() {
 			return 0, e
 		}
 		f.B(2)
-		obj.Data.(*rtos.Task).State = rtos.TaskDead
+		k.Sched.SetState(obj.Data.(*rtos.Task), rtos.TaskDead)
 		return 0, k.Objects.Delete(obj.ID)
 	})
 
@@ -287,12 +287,12 @@ func (o *OS) buildTable() {
 			return 0, e
 		}
 		t := obj.Data.(*rtos.Task)
-		if t.State == rtos.TaskDead {
+		if t.State() == rtos.TaskDead {
 			f.B(2)
 			return 0, rtos.ErrState
 		}
 		f.B(3)
-		t.State = rtos.TaskSuspended
+		k.Sched.SetState(t, rtos.TaskSuspended)
 		return 0, rtos.OK
 	})
 
@@ -303,12 +303,12 @@ func (o *OS) buildTable() {
 			return 0, e
 		}
 		t := obj.Data.(*rtos.Task)
-		if t.State != rtos.TaskSuspended {
+		if t.State() != rtos.TaskSuspended {
 			f.B(2)
 			return 0, rtos.ErrState
 		}
 		f.B(3)
-		t.State = rtos.TaskReady
+		k.Sched.SetState(t, rtos.TaskReady)
 		return 0, rtos.OK
 	})
 
@@ -322,7 +322,7 @@ func (o *OS) buildTable() {
 		switch cmd := uint32(ar(a, 1)); cmd {
 		case 0: // GET_PRIO
 			f.B(2)
-			return uint64(t.Prio), rtos.OK
+			return uint64(t.Prio()), rtos.OK
 		case 1: // SET_PRIO
 			prio := int(uint32(ar(a, 2)))
 			if prio > rtos.PrioMin {
@@ -330,7 +330,8 @@ func (o *OS) buildTable() {
 				return 0, rtos.ErrInval
 			}
 			f.B(4)
-			t.Prio, t.BasePrio = prio, prio
+			k.Sched.SetPrio(t, prio)
+			t.BasePrio = prio
 			return 0, rtos.OK
 		case 2: // GET_RUNCOUNT
 			f.B(5)
@@ -351,7 +352,7 @@ func (o *OS) buildTable() {
 			return 0, rtos.ErrNotFound
 		}
 		f.B(2)
-		if !obj.Alive {
+		if !obj.Alive() {
 			f.B(3)
 			k.Assert(false, "obj->type != RT_Object_Class_Null")
 		}
@@ -687,13 +688,13 @@ func (o *OS) buildTable() {
 		timeout := o.timeout(ar(a, 1))
 		if timeout == 0 {
 			f.B(2)
-			if !obj.Alive {
+			if !obj.Alive() {
 				f.B(3)
 				return 0, rtos.ErrState
 			}
 		} else {
 			f.B(4)
-			if !obj.Alive {
+			if !obj.Alive() {
 				f.B(5)
 				k.PanicFault(cpu.FaultPanic, "rt_mp_alloc: control block freed during wait")
 			}

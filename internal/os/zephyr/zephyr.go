@@ -192,7 +192,7 @@ func (o *OS) buildTable() {
 			return 0, e
 		}
 		f.B(2)
-		obj.Data.(*rtos.Task).State = rtos.TaskDead
+		k.Sched.SetState(obj.Data.(*rtos.Task), rtos.TaskDead)
 		return 0, k.Objects.Delete(obj.ID)
 	})
 
@@ -224,7 +224,8 @@ func (o *OS) buildTable() {
 		}
 		f.B(3)
 		t := obj.Data.(*rtos.Task)
-		t.Prio, t.BasePrio = prio+16, prio+16
+		k.Sched.SetPrio(t, prio+16)
+		t.BasePrio = prio + 16
 		return 0, rtos.OK
 	})
 

@@ -1,6 +1,7 @@
 package rtos
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -30,6 +31,7 @@ type tickState struct {
 
 type taskState struct {
 	State              TaskState
+	Prio               int
 	WakeTick, RunCount uint64
 }
 
@@ -40,8 +42,9 @@ type timerState struct {
 
 // boundsRun drives a seeded random script of task and timer operations
 // between ticks and records the state after every tick. With fullScans it
-// resets both scan bounds before each tick, which reproduces the kernel
-// that scans every timer and sleeper on every tick.
+// resets both scan bounds and the heap's resume point before each tick,
+// which reproduces the kernel that scans every timer and sleeper and walks
+// the heap from its first block on every tick.
 type boundsRun struct {
 	k         *Kernel
 	rec       *pcRecorder
@@ -49,6 +52,7 @@ type boundsRun struct {
 	rng       uint64
 	states    []tickState
 	faults    int
+	keyErr    string // the first pick key found stale, if any
 }
 
 func (r *boundsRun) next(n int) int {
@@ -58,6 +62,14 @@ func (r *boundsRun) next(n int) int {
 	return int(r.rng % uint64(n))
 }
 
+// prio returns a task priority, the lowest one a third of the time.
+func (r *boundsRun) prio() int {
+	if r.next(3) == 0 {
+		return PrioMin
+	}
+	return r.next(PrioCount)
+}
+
 // tick runs one kernel tick and records the state after it, also when the
 // tick unwinds on a fault.
 func (r *boundsRun) tick() {
@@ -65,48 +77,108 @@ func (r *boundsRun) tick() {
 	defer func() {
 		st := tickState{Now: k.Env.Clock.Now(), Blocks: k.Env.Core.TotalBlocks(), PCs: len(r.rec.pcs)}
 		for _, t := range k.Sched.tasks {
-			st.Tasks = append(st.Tasks, taskState{t.State, t.WakeTick, t.RunCount})
+			st.Tasks = append(st.Tasks, taskState{t.state, t.prio, t.WakeTick, t.RunCount})
 		}
 		for _, t := range k.Timers.timers {
 			st.Timers = append(st.Timers, timerState{t.Fires, t.NextFire, t.Armed})
 		}
 		r.states = append(r.states, st)
+		r.checkKeys(fmt.Sprintf("tick %d", len(r.states)))
 	}()
 	if r.fullScans {
 		k.Timers.minNext, k.Sched.minWake = 0, 0
+		k.Heap.scan, k.Heap.last = 0, -1
 	}
 	k.Tick()
 }
 
+// checkKeys records the first pick key that differs from the key of its
+// task's state and priority, or the first rotation whose records the keys
+// count differently from a scan of the tasks.
+func (r *boundsRun) checkKeys(when string) {
+	s := r.k.Sched
+	if r.keyErr != "" {
+		return
+	}
+	if len(s.keys) != len(s.tasks) {
+		r.keyErr = fmt.Sprintf("%s: %d keys for %d tasks", when, len(s.keys), len(s.tasks))
+		return
+	}
+	for i, t := range s.tasks {
+		want := uint8(0xFF)
+		if t.state == TaskReady || t.state == TaskRunning {
+			want = uint8(t.prio)
+		}
+		if s.keys[i] != want {
+			r.keyErr = fmt.Sprintf("%s: task %d (%v, priority %d) has key %#x, want %#x",
+				when, i, t.state, t.prio, s.keys[i], want)
+			return
+		}
+	}
+	for start := range s.tasks {
+		records, best := 0, -1
+		for j := range s.tasks {
+			i := (start + j) % len(s.tasks)
+			t := s.tasks[i]
+			if t.state != TaskReady && t.state != TaskRunning {
+				continue
+			}
+			if best < 0 || t.prio < s.tasks[best].prio {
+				records, best = records+1, i
+			}
+		}
+		if n, got := s.rotation(start); n != records || got != best {
+			r.keyErr = fmt.Sprintf("%s: rotation from %d: %d records ending at %d, tasks give %d ending at %d",
+				when, start, n, got, records, best)
+			return
+		}
+	}
+}
+
 // script creates, deletes, suspends, resumes and re-prioritises tasks of
-// every behaviour and creates, starts, stops and deletes one-shot and
-// periodic timers of every callback behaviour, ticking in between, then
-// ticks n more times.
+// every behaviour through the scheduler's setters, locks a mutex (which
+// restores a raised task's base priority), holds and frees heap blocks, and
+// creates, starts, stops and deletes one-shot and periodic timers of every
+// callback behaviour, ticking in between, then ticks n more times.
 func (r *boundsRun) script(steps, n int) {
 	k := r.k
 	k.InitSched("tick", "pick", "switch", "sched.c")
+	mo, _ := k.NewMutex("m", false)
 	var tasks []*Task
 	var timers []*Timer
+	var held []uint64
 	for step := 0; step < steps; step++ {
-		switch op := r.next(12); {
+		switch op := r.next(14); {
 		case op == 0 || len(tasks) == 0:
-			o, _ := k.Sched.Create("t", r.next(PrioCount), 256, r.next(NumBehaviors))
+			o, _ := k.Sched.Create("t", r.prio(), 256, r.next(NumBehaviors))
 			tasks = append(tasks, o.Data.(*Task))
 		case op == 1 && len(tasks) > 8:
-			if t := tasks[r.next(len(tasks))]; t.State != TaskDead {
-				t.State = TaskDead
+			if t := tasks[r.next(len(tasks))]; t.State() != TaskDead {
+				k.Sched.SetState(t, TaskDead)
 				k.Objects.Delete(t.Obj.ID)
 			}
 		case op == 2:
-			if t := tasks[r.next(len(tasks))]; t.State != TaskDead {
-				t.State = TaskSuspended
+			if t := tasks[r.next(len(tasks))]; t.State() != TaskDead {
+				k.Sched.SetState(t, TaskSuspended)
 			}
 		case op == 3:
-			if t := tasks[r.next(len(tasks))]; t.State == TaskSuspended {
-				t.State = TaskReady
+			if t := tasks[r.next(len(tasks))]; t.State() == TaskSuspended {
+				k.Sched.SetState(t, TaskReady)
 			}
 		case op == 4:
-			tasks[r.next(len(tasks))].Prio = r.next(PrioCount)
+			k.Sched.SetPrio(tasks[r.next(len(tasks))], r.prio())
+		case op == 10:
+			if m := mo.Data.(*Mutex); m.Lock(0) == OK {
+				m.Unlock()
+			}
+		case op == 11 && len(held) > 12:
+			j := r.next(len(held))
+			k.Heap.Free(held[j])
+			held = append(held[:j], held[j+1:]...)
+		case op == 11 || op == 12:
+			if p := k.Heap.Alloc(8 + r.next(200)); p != 0 {
+				held = append(held, p)
+			}
 		case op == 5 || len(timers) == 0:
 			o, _ := k.NewTimer("tm", uint64(1+r.next(12)), r.next(3) == 0, r.next(3))
 			timers = append(timers, o.Data.(*Timer))
@@ -125,16 +197,18 @@ func (r *boundsRun) script(steps, n int) {
 				r.tick()
 			}
 		}
+		r.checkKeys(fmt.Sprintf("step %d", step))
 	}
 	for i := 0; i < n; i++ {
 		r.tick()
 	}
 }
 
-// faultingTicks corrupts the heap, so heap-churning timer callbacks and
-// tasks fault and unwind their tick part-way through, then ticks n times.
+// faultingTicks corrupts the heap's first block header with a write through
+// the memory map, so heap-churning timer callbacks and tasks fault and
+// unwind their tick part-way through, then ticks n times.
 func (r *boundsRun) faultingTicks(n int) {
-	clear(r.k.Heap.slab[:heapHeader])
+	r.k.WriteRAM(r.k.Heap.base, make([]byte, heapHeader))
 	for i := 0; i < n; i++ {
 		func() {
 			defer func() {
@@ -151,8 +225,10 @@ func (r *boundsRun) faultingTicks(n int) {
 }
 
 // TestScanBoundsExact runs one script on twin kernels, one skipping timer
-// and sleeper scans below their bounds and one scanning on every tick, and
-// requires the same blocks, clock and task and timer state tick for tick.
+// and sleeper scans below their bounds and resuming heap walks at the resume
+// point, and one scanning and walking from the first block on every tick.
+// It requires the same blocks, clock and task and timer state tick for tick,
+// and pick keys that match their tasks after every step and tick.
 func TestScanBoundsExact(t *testing.T) {
 	type result struct {
 		run    *boundsRun
@@ -188,6 +264,11 @@ func TestScanBoundsExact(t *testing.T) {
 	}
 	if bounded.run.faults == 0 || bounded.run.faults != full.run.faults {
 		t.Fatalf("faulting ticks: bounded %d, full %d", bounded.run.faults, full.run.faults)
+	}
+	for _, run := range []*boundsRun{bounded.run, full.run} {
+		if run.keyErr != "" {
+			t.Fatalf("stale pick key after %s", run.keyErr)
+		}
 	}
 	var woken, fired int
 	last := fs[len(fs)-1]

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 
 	"github.com/eof-fuzz/eof/internal/cpu"
+	"github.com/eof-fuzz/eof/internal/mem"
 )
 
 // Heap is a first-fit free-list allocator whose metadata lives inside the
@@ -23,6 +24,15 @@ type Heap struct {
 	k    *Kernel
 	slab []byte
 	base uint64 // target address of slab[0]
+	ram  *mem.Region
+
+	// scan is where Alloc's first-fit walk resumes. While ram.Writes()
+	// equals scanWrites, the blocks from offset 0 up to scan are allocated
+	// and valid, as a walk read them or Alloc wrote them: no write through
+	// the map has landed since, and every heap write below scan lowered it.
+	// last is the offset of the block that ends at scan, or -1 if unknown.
+	scan, last int
+	scanWrites uint64
 
 	// Instrumented functions, named by the personality (pvPortMalloc,
 	// rt_smem_alloc, k_heap_alloc, ...).
@@ -48,10 +58,15 @@ const (
 )
 
 // NewHeap carves a heap out of target RAM at [addr, addr+size) and registers
-// the personality's allocator symbols.
+// the personality's allocator symbols. The heap must start at or above
+// Env.ScratchBase: below it live the coverage buffer and the fault status
+// block, which their owners write without the region's write count.
 func (k *Kernel) NewHeap(addr uint64, size int, allocName, freeName, lockName, file string) *Heap {
 	if addr < k.Env.RAM.Base || addr+uint64(size) > k.Env.RAM.End() {
 		panic("rtos: heap outside RAM")
+	}
+	if addr < k.Env.ScratchBase {
+		panic("rtos: heap below the scratch base")
 	}
 	off := addr - k.Env.RAM.Base
 	// The allocator mutates the slab directly, bypassing the memory map's
@@ -61,6 +76,8 @@ func (k *Kernel) NewHeap(addr uint64, size int, allocName, freeName, lockName, f
 		k:       k,
 		slab:    k.Env.RAM.Bytes()[off : off+uint64(size)],
 		base:    addr,
+		ram:     k.Env.RAM,
+		last:    -1,
 		fnAlloc: k.Fn(allocName, file, 120, 20),
 		fnFree:  k.Fn(freeName, file, 260, 10),
 		fnLock:  k.Fn(lockName, file, 48, 4),
@@ -151,7 +168,12 @@ func (h *Heap) Alloc(n int) uint64 {
 	total := uint32(need + heapHeader)
 	f.B(2)
 
-	off := 0
+	// Resume at scan: the blocks below it are allocated and valid, so a walk
+	// from 0 would pass them without a fit or a fault.
+	if w := h.ram.Writes(); w != h.scanWrites {
+		h.scan, h.last, h.scanWrites = 0, -1, w
+	}
+	off := h.scan
 	for off < len(h.slab) {
 		size, prev, free, ok := h.header(off)
 		if !ok {
@@ -168,9 +190,13 @@ func (h *Heap) Alloc(n int) uint64 {
 				if next := off + int(size); next+heapHeader <= len(h.slab) {
 					binary.LittleEndian.PutUint32(h.slab[next+4:], size-total)
 				}
+				size = total
 			} else {
 				f.B(6)
 				h.writeHeader(off, size, prev, false)
+			}
+			if off == h.scan {
+				h.scan, h.last = off+int(size), off
 			}
 			h.allocs++
 			// Size-class paths: small/medium/large allocations take distinct
@@ -179,10 +205,29 @@ func (h *Heap) Alloc(n int) uint64 {
 			f.B(7)
 			return h.base + uint64(off) + heapHeader
 		}
+		if !free && off == h.scan {
+			h.scan, h.last = off+int(size), off
+		}
 		off += int(size)
 	}
 	f.B(8)
 	return 0
+}
+
+// wrote keeps scan's promise after a heap write whose lowest byte is at off.
+// A write at or above scan touches no block below it. One inside the block
+// that ends at scan leaves the blocks before it alone, so the walk resumes
+// at that block; any other write below scan restarts the walk at 0.
+func (h *Heap) wrote(off int) {
+	switch {
+	case off >= h.scan:
+		return
+	case h.last >= 0 && off >= h.last:
+		h.scan = h.last
+	default:
+		h.scan = 0
+	}
+	h.last = -1
 }
 
 // sizeClass buckets an allocation size (0..5).
@@ -250,6 +295,7 @@ func (h *Heap) Free(addr uint64) Errno {
 	if next := off + int(size); next+heapHeader <= len(h.slab) {
 		binary.LittleEndian.PutUint32(h.slab[next+4:], size)
 	}
+	h.wrote(off)
 	f.B(6)
 	return OK
 }
@@ -272,6 +318,7 @@ func (h *Heap) SetNameTag(addr uint64, tag uint32) bool {
 		return false
 	}
 	binary.LittleEndian.PutUint32(h.slab[off+12:], tag)
+	h.wrote(off + 12)
 	return true
 }
 
@@ -286,6 +333,9 @@ func (h *Heap) CorruptAfter(addr uint64, n int, pattern byte) {
 	end := off + int(size)
 	for i := 0; i < n && end+i < len(h.slab); i++ {
 		h.slab[end+i] = pattern
+	}
+	if n > 0 {
+		h.wrote(end)
 	}
 }
 

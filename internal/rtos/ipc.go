@@ -267,9 +267,9 @@ func (m *Mutex) Lock(timeout int) Errno {
 	if cur != nil {
 		m.Owner = cur
 		// Priority inheritance bookkeeping target.
-		if cur.Prio > cur.BasePrio {
+		if cur.prio > cur.BasePrio {
 			f.B(4)
-			cur.Prio = cur.BasePrio
+			k.Sched.SetPrio(cur, cur.BasePrio)
 		}
 	} else {
 		m.Ownerless++

@@ -51,9 +51,14 @@ type Object struct {
 	Type        ObjType
 	Name        string
 	Data        any
-	Alive       bool
 	CreatedTick uint64
+	// alive is written only by Table.New and Table.Delete, which keep the
+	// table's live counts.
+	alive bool
 }
+
+// Alive reports whether the object has not been deleted.
+func (o *Object) Alive() bool { return o.alive }
 
 // Table is the kernel object/handle registry.
 type Table struct {
@@ -61,6 +66,10 @@ type Table struct {
 	objs  map[uint32]*Object
 	next  uint32
 	fnNew *Fn
+	// live counts the live objects and byType the live objects of each
+	// type. New and Delete, the only writers of Object.alive, keep both.
+	live   int
+	byType [ObjHeapRef + 1]int
 }
 
 func newTable(k *Kernel) *Table {
@@ -75,8 +84,10 @@ func newTable(k *Kernel) *Table {
 // call sequences do — exposes code single calls never touch.
 func (t *Table) New(typ ObjType, name string, data any) *Object {
 	t.next++
-	o := &Object{ID: t.next, Type: typ, Name: name, Data: data, Alive: true, CreatedTick: t.k.Ticks}
+	o := &Object{ID: t.next, Type: typ, Name: name, Data: data, alive: true, CreatedTick: t.k.Ticks}
 	t.objs[o.ID] = o
+	t.live++
+	t.byType[typ]++
 	f := t.fnNew
 	f.Enter()
 	f.B(1 + int(typ)%4)
@@ -115,7 +126,7 @@ func (t *Table) GetTyped(id uint32, typ ObjType) (*Object, Errno) {
 	if o == nil {
 		return nil, ErrNotFound
 	}
-	if !o.Alive {
+	if !o.alive {
 		return nil, ErrState
 	}
 	if o.Type != typ {
@@ -132,21 +143,21 @@ func (t *Table) Delete(id uint32) Errno {
 	if o == nil {
 		return ErrNotFound
 	}
-	if !o.Alive {
+	if !o.alive {
 		return ErrState
 	}
-	o.Alive = false
+	o.alive = false
+	t.live--
+	t.byType[o.Type]--
 	return OK
 }
 
 // Count returns the number of live objects of the given type (any type when
-// typ is ObjNone).
+// typ is ObjNone, so the untyped objects some personalities register count
+// only in the total).
 func (t *Table) Count(typ ObjType) int {
-	n := 0
-	for _, o := range t.objs {
-		if o.Alive && (typ == ObjNone || o.Type == typ) {
-			n++
-		}
+	if typ == ObjNone {
+		return t.live
 	}
-	return n
+	return t.byType[typ]
 }

@@ -1,6 +1,7 @@
 package rtos
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -87,6 +88,17 @@ func testKernel(t *testing.T, fn func(k *Kernel)) {
 }
 
 func TestHeapAllocFree(t *testing.T) {
+	// Below the scratch base the coverage buffer and the fault status block
+	// are written past the region's write count, so no heap may start there.
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("NewHeap accepted a heap below the scratch base")
+			}
+		}()
+		k := newTestKernel()
+		k.NewHeap(k.Env.ScratchBase-4096, 1024, "a", "f", "l", "mem.c")
+	}()
 	testKernel(t, func(k *Kernel) {
 		a := k.Heap.Alloc(100)
 		b := k.Heap.Alloc(200)
@@ -117,8 +129,53 @@ func TestHeapAllocFree(t *testing.T) {
 	})
 }
 
+// firstFit is a read-only first-fit walk from the heap's first block: the
+// payload address Alloc(n) must return (0 for none), or fault when a corrupt
+// header comes before any fit.
+func firstFit(h *Heap, n int) (addr uint64, fault bool) {
+	if n <= 0 || n > len(h.slab) {
+		return 0, false
+	}
+	total := uint32((n+7)&^7 + heapHeader)
+	for off := 0; off < len(h.slab); {
+		size, _, free, ok := h.header(off)
+		if !ok {
+			return 0, true
+		}
+		if free && size >= total {
+			return h.base + uint64(off) + heapHeader, false
+		}
+		off += int(size)
+	}
+	return 0, false
+}
+
+// tryAlloc runs Alloc, reporting a kernel fault instead of unwinding.
+func tryAlloc(h *Heap, n int) (addr uint64, fault bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(Unwind); !ok {
+				panic(r)
+			}
+			fault = true
+		}
+	}()
+	return h.Alloc(n), false
+}
+
+// TestHeapChurnProperty churns the heap with enough live allocations that
+// Alloc resumes its walk past several blocks, and requires every Alloc to
+// return the block, or raise the fault, of a first-fit walk from offset 0.
+// Between allocations it frees blocks below the resume point, overflows a
+// block into the next header through the memory map and through
+// CorruptAfter, and writes earlier copies of RAM back through the map. While
+// no overflow has landed since the last copy was written back, the heap must
+// walk clean and Alloc must not fault. A middle phase fills the heap until
+// Alloc runs out of room. The churn runs on the target goroutine, so
+// failures return an error rather than stop the test there.
 func TestHeapChurnProperty(t *testing.T) {
 	testKernel(t, func(k *Kernel) {
+		h := k.Heap
 		rng := uint64(12345)
 		next := func(n int) int {
 			rng ^= rng << 13
@@ -126,34 +183,163 @@ func TestHeapChurnProperty(t *testing.T) {
 			rng ^= rng << 17
 			return int(rng % uint64(n))
 		}
-		live := map[uint64]int{}
-		for i := 0; i < 3000; i++ {
-			if next(3) == 0 && len(live) > 0 {
-				for p := range live {
-					if e := k.Heap.Free(p); e.Failed() {
-						t.Fatalf("free: %v", e)
-					}
-					delete(live, p)
-					break
-				}
-			} else {
-				n := 8 + next(600)
-				if p := k.Heap.Alloc(n); p != 0 {
-					if k.Heap.BlockPayload(p) < n {
-						t.Fatalf("payload %d < requested %d", k.Heap.BlockPayload(p), n)
-					}
-					live[p] = n
-				}
+		var live []uint64 // payload addresses of live allocations
+		type ramCopy struct {
+			ram  []byte
+			live []uint64
+		}
+		// Copies are taken only while the heap is clean.
+		copies := []ramCopy{{slices.Clone(k.Env.RAM.Bytes()), nil}}
+		newest := 0
+		// dirty is set while a corrupted header may sit in the heap, until
+		// an earlier copy of RAM is written back.
+		dirty := false
+		writeBack := func(c ramCopy) error {
+			live = slices.Clone(c.live)
+			dirty = false
+			return k.Env.Mem.Write(k.Env.RAM.Base, c.ram)
+		}
+		// hinted reports whether Alloc would resume its walk at scan.
+		hinted := func() bool { return h.scanWrites == h.ram.Writes() }
+		var allocs, faults, exhausted, resumed, skipped, freesBelow, maxLive int
+		alloc := func(i, n int) error {
+			want, wantFault := firstFit(h, n)
+			if wantFault && !dirty {
+				return fmt.Errorf("op %d: first fit from 0 faults on a clean heap", i)
 			}
-			if i%500 == 0 && !k.Heap.Walk() {
-				t.Fatalf("heap corrupt at iteration %d", i)
+			if hinted() {
+				// scan's promise: the chain from 0 reaches it through
+				// allocated, valid blocks.
+				blocks, off := 0, 0
+				for ; off < h.scan; blocks++ {
+					size, _, free, ok := h.header(off)
+					if !ok || free {
+						return fmt.Errorf("op %d: block %d at %d below scan %d: free %v, valid %v", i, blocks, off, h.scan, free, ok)
+					}
+					off += int(size)
+				}
+				if off != h.scan {
+					return fmt.Errorf("op %d: blocks below scan end at %d, not %d", i, off, h.scan)
+				}
+				if blocks >= 4 {
+					resumed++
+				}
+				skipped += blocks
+			}
+			got, fault := tryAlloc(h, n)
+			allocs++
+			if got != want || fault != wantFault {
+				return fmt.Errorf("op %d: Alloc(%d) = %#x, fault %v; first fit from 0 = %#x, fault %v",
+					i, n, got, fault, want, wantFault)
+			}
+			switch {
+			case fault:
+				faults++
+			case got == 0:
+				exhausted++
+			case h.BlockPayload(got) < n:
+				return fmt.Errorf("op %d: payload %d < requested %d", i, h.BlockPayload(got), n)
+			default:
+				live = append(live, got)
+			}
+			return nil
+		}
+		for i := 0; i < 12000; i++ {
+			// Ops 4000 to 7999 fill the heap: live blocks are not capped and
+			// one op in ten frees. The first half overflows no block, so the
+			// copies taken on the way hold ever fuller heaps; the second
+			// half overflows blocks of a full heap and cleans it by writing
+			// the newest copy back.
+			fill := i >= 4000 && i < 8000
+			frees, limit, overflow := 6, 48, true
+			if fill {
+				frees, limit, overflow = 2, len(h.slab), i >= 6000
+			}
+			var err error
+			switch op := next(20); {
+			case op == 19 && !fill || dirty && op >= 12:
+				c := copies[newest]
+				if !fill {
+					c = copies[next(len(copies))]
+				}
+				err = writeBack(c)
+			case dirty:
+				err = alloc(i, 8+next(600))
+			case op < frees && len(live) > 0 || len(live) > limit:
+				// Free the newest allocation, which often ends at scan, or
+				// any other, mostly below it.
+				j := len(live) - 1
+				if op < 2 {
+					j = next(len(live))
+				}
+				if hinted() && int(live[j]-h.base)-heapHeader < h.scan {
+					freesBelow++
+				}
+				if e := h.Free(live[j]); e.Failed() {
+					err = fmt.Errorf("op %d: free: %v", i, e)
+				}
+				live = slices.Delete(live, j, j+1)
+			case op == 6 && overflow && len(live) > 0:
+				// Overflow a block into the next header through the map.
+				p := live[next(len(live))]
+				junk := make([]byte, 1+next(heapHeader))
+				for b := range junk {
+					junk[b] = byte(next(256))
+				}
+				if end := p + uint64(h.BlockPayload(p)); end+uint64(len(junk)) <= h.base+uint64(len(h.slab)) {
+					k.WriteRAM(end, junk)
+					dirty = true
+				}
+			case op == 7 && overflow && len(live) > 0:
+				// The same overflow through the kernel's raw primitive.
+				h.CorruptAfter(live[next(len(live))], 1+next(heapHeader), byte(next(256)))
+				dirty = true
+			case op == 8:
+				newest = len(copies)
+				if newest == 4 {
+					newest = next(4)
+				} else {
+					copies = append(copies, ramCopy{})
+				}
+				c := &copies[newest]
+				c.ram = append(c.ram[:0], k.Env.RAM.Bytes()...)
+				c.live = slices.Clone(live)
+			default:
+				err = alloc(i, 8+next(600))
+			}
+			if err == nil && !dirty && !h.Walk() {
+				err = fmt.Errorf("op %d: clean heap does not walk", i)
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			maxLive = max(maxLive, len(live))
+		}
+		t.Logf("%d allocs (%d faulted, %d out of room, %.1f blocks skipped each), %d frees below scan, up to %d live",
+			allocs, faults, exhausted, float64(skipped)/float64(allocs), freesBelow, maxLive)
+		if faults == 0 || exhausted < 100 || freesBelow < 100 || resumed < allocs/2 || maxLive < 500 {
+			t.Errorf("%d allocs (%d faulted, %d out of room, %d resumed past 4 or more blocks), %d frees below scan, up to %d live",
+				allocs, faults, exhausted, resumed, freesBelow, maxLive)
+		}
+		// Free every block in random order: the heap coalesces back into
+		// one free block.
+		if dirty {
+			if err := writeBack(copies[newest]); err != nil {
+				t.Error(err)
+				return
 			}
 		}
-		for p := range live {
-			k.Heap.Free(p)
+		for len(live) > 0 {
+			j := next(len(live))
+			if e := h.Free(live[j]); e.Failed() {
+				t.Errorf("final free: %v", e)
+				return
+			}
+			live = slices.Delete(live, j, j+1)
 		}
-		if !k.Heap.Walk() {
-			t.Fatal("heap corrupt at end")
+		if _, _, free := h.Stats(); !h.Walk() || free != len(h.slab)-heapHeader {
+			t.Errorf("after freeing every block: walks %v, %d bytes free, want %d", h.Walk(), free, len(h.slab)-heapHeader)
 		}
 	})
 }
@@ -291,12 +477,12 @@ func TestSchedulerTasks(t *testing.T) {
 		if hi.RunCount == 0 {
 			t.Error("high-priority task never ran")
 		}
-		if k.Sched.Current() == nil || k.Sched.Current().Prio != 1 {
+		if k.Sched.Current() == nil || k.Sched.Current().Prio() != 1 {
 			t.Errorf("current: %+v", k.Sched.Current())
 		}
-		hi.State = TaskSuspended
+		k.Sched.SetState(hi, TaskSuspended)
 		k.TickN(5)
-		if k.Sched.Current().Prio != 20 {
+		if k.Sched.Current().Prio() != 20 {
 			t.Error("scheduler did not fall back to low-priority task")
 		}
 		if k.Sched.TaskCount() != 2 {
@@ -444,6 +630,41 @@ func TestObjectsTable(t *testing.T) {
 		}
 		if _, e := k.Objects.GetTyped(o.ID, ObjSem); e != ErrState {
 			t.Errorf("dead resolve: %v", e)
+		}
+
+		// The live counts against a count over the map, while objects of
+		// several types, untyped ones included, come and go; some deletes
+		// hit dead handles.
+		rng := uint64(99)
+		next := func(n int) int {
+			rng ^= rng << 13
+			rng ^= rng >> 7
+			rng ^= rng << 17
+			return int(rng % uint64(n))
+		}
+		types := []ObjType{ObjNone, ObjTask, ObjQueue, ObjSem, ObjTimer, ObjHeapRef}
+		ids := []uint32{o.ID}
+		for i := 0; i < 600; i++ {
+			if next(3) == 0 {
+				k.Objects.Delete(ids[next(len(ids))])
+			} else {
+				ids = append(ids, k.Objects.New(types[next(len(types))], "o", nil).ID)
+			}
+			for typ := ObjNone; typ <= ObjHeapRef; typ++ {
+				want := 0
+				for _, o := range k.Objects.objs {
+					if o.Alive() && (typ == ObjNone || o.Type == typ) {
+						want++
+					}
+				}
+				if got := k.Objects.Count(typ); got != want {
+					t.Errorf("op %d: Count(%v) = %d, %d live in the table", i, typ, got, want)
+					return
+				}
+			}
+		}
+		if k.Objects.Count(ObjNone) < 100 {
+			t.Errorf("only %d live objects", k.Objects.Count(ObjNone))
 		}
 	})
 }

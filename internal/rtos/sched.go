@@ -1,6 +1,9 @@
 package rtos
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // TaskState is a task's scheduling state.
 type TaskState uint8
@@ -47,18 +50,30 @@ const (
 // NumBehaviors is how many synthetic task-body behaviours exist.
 const NumBehaviors = 4
 
-// Task is a kernel task/thread control block.
+// Task is a kernel task/thread control block. Its state and priority change
+// only through Scheduler.SetState and SetPrio, which keep the pick keys.
 type Task struct {
 	Obj       *Object
-	Prio      int
 	BasePrio  int // original priority (mutex inheritance restores to it)
 	StackSize int
 	Behavior  int
-	State     TaskState
 	WakeTick  uint64
 	RunCount  uint64
+	prio      int
+	state     TaskState
+	idx       int // index in Scheduler.tasks and keys
 	counter   uint64
 }
+
+// Prio returns the task's priority.
+func (t *Task) Prio() int { return t.prio }
+
+// State returns the task's scheduling state.
+func (t *Task) State() TaskState { return t.state }
+
+// keyIdle is the pick key of a task that is neither ready nor running: above
+// every priority, so pick never takes it.
+const keyIdle = 0xFF
 
 // Scheduler is a 32-level priority scheduler with round-robin within a
 // level, driven by the kernel tick.
@@ -66,6 +81,10 @@ type Scheduler struct {
 	k       *Kernel
 	tasks   []*Task
 	current *Task
+	// keys[i] is tasks[i]'s pick key: its priority while it is ready or
+	// running, keyIdle otherwise. SetState and SetPrio keep it, so pick
+	// reads one byte per task.
+	keys []uint8
 
 	fnTick   *Fn
 	fnPick   *Fn
@@ -122,15 +141,41 @@ func (s *Scheduler) Create(name string, prio, stackSize, behavior int) (*Object,
 		return nil, ErrInval
 	}
 	t := &Task{
-		Prio:      prio,
 		BasePrio:  prio,
 		StackSize: stackSize,
 		Behavior:  ((behavior % NumBehaviors) + NumBehaviors) % NumBehaviors,
-		State:     TaskReady,
+		prio:      prio,
+		state:     TaskReady,
+		idx:       len(s.tasks),
 	}
 	t.Obj = s.k.Objects.New(ObjTask, name, t)
 	s.tasks = append(s.tasks, t)
+	s.keys = append(s.keys, t.key())
 	return t.Obj, OK
+}
+
+// SetState moves t to state st.
+func (s *Scheduler) SetState(t *Task, st TaskState) {
+	t.state = st
+	s.keys[t.idx] = t.key()
+}
+
+// SetPrio sets t's priority, which must lie in [PrioMax, PrioMin]; callers
+// validate what the program passed.
+func (s *Scheduler) SetPrio(t *Task, prio int) {
+	if prio < PrioMax || prio > PrioMin {
+		panic(fmt.Sprintf("rtos: task priority %d outside [%d, %d]", prio, PrioMax, PrioMin))
+	}
+	t.prio = prio
+	s.keys[t.idx] = t.key()
+}
+
+// key is t's pick key.
+func (t *Task) key() uint8 {
+	if t.state == TaskReady || t.state == TaskRunning {
+		return uint8(t.prio)
+	}
+	return keyIdle
 }
 
 // Current returns the running task, or nil before any slice has run.
@@ -143,7 +188,7 @@ func (s *Scheduler) ContextSwitches() uint64 { return s.ctxSwitches }
 func (s *Scheduler) TaskCount() int {
 	n := 0
 	for _, t := range s.tasks {
-		if t.State != TaskDead {
+		if t.state != TaskDead {
 			n++
 		}
 	}
@@ -161,7 +206,7 @@ func (s *Scheduler) tick() {
 	if now := s.k.Ticks; now >= s.minWake {
 		next := uint64(math.MaxUint64)
 		for _, t := range s.tasks {
-			if t.State != TaskSleeping {
+			if t.state != TaskSleeping {
 				continue
 			}
 			if t.WakeTick > now {
@@ -169,7 +214,7 @@ func (s *Scheduler) tick() {
 				continue
 			}
 			f.B(1)
-			t.State = TaskReady
+			s.SetState(t, TaskReady)
 		}
 		s.minWake = next
 	}
@@ -190,42 +235,61 @@ func (s *Scheduler) pick() *Task {
 	f := s.fnPick
 	f.Enter()
 	defer f.Exit()
-	var best *Task
 	start := 0
-	if n := len(s.tasks); n > 0 {
+	if n := len(s.keys); n > 0 {
 		start = s.rrCursor % n
 	}
-	// The round-robin rotation: tasks from the cursor on, then wrap around.
-	for _, run := range [2][]*Task{s.tasks[start:], s.tasks[:start]} {
-		for _, t := range run {
-			if t.State != TaskReady && t.State != TaskRunning {
-				continue
-			}
-			if best == nil || t.Prio < best.Prio {
-				f.B(1)
-				best = t
-			}
-		}
+	// Each record of the rotation takes B(1). The scan has no other effect,
+	// so they are taken after it, in one run.
+	n, best := s.rotation(start)
+	for range n {
+		f.B(1)
 	}
 	s.rrCursor++
-	if best != nil {
-		f.B(2)
-	} else {
+	if best < 0 {
 		f.B(3)
+		return nil
 	}
-	return best
+	f.B(2)
+	return s.tasks[best]
+}
+
+// rotation scans the round-robin rotation, tasks from start on and then
+// wrapping around, for its records: the first ready or running task and each
+// one with a strictly higher priority (lower key) than every one before it.
+// It returns how many there are and the last one's index, or -1.
+func (s *Scheduler) rotation(start int) (n, best int) {
+	n, best, key := records(s.keys, start, len(s.keys), 0, -1, keyIdle)
+	n, best, _ = records(s.keys, 0, start, n, best, key)
+	return n, best
+}
+
+// records continues a rotation scan over keys[lo:hi] that has found n
+// records, the last at index best with key key. It stops at key 0, which no
+// key is below. The loop body has no branch on the keys (the compiler turns
+// the comparison into conditional moves), so keys in no learnable order cost
+// no mispredictions.
+func records(keys []uint8, lo, hi, n, best, key int) (int, int, int) {
+	for i := lo; i < hi && key > 0; i++ {
+		k := int(keys[i])
+		if k < key {
+			n, best = n+1, i
+		}
+		key = min(key, k)
+	}
+	return n, best, key
 }
 
 func (s *Scheduler) contextSwitch(next *Task) {
 	f := s.fnSwitch
 	f.Enter()
-	if s.current != nil && s.current.State == TaskRunning {
+	if s.current != nil && s.current.state == TaskRunning {
 		f.B(1)
-		s.current.State = TaskReady
+		s.SetState(s.current, TaskReady)
 	}
 	if next != nil {
 		f.B(2)
-		next.State = TaskRunning
+		s.SetState(next, TaskRunning)
 	}
 	s.current = next
 	s.ctxSwitches++
@@ -252,7 +316,7 @@ func (s *Scheduler) runSlice(t *Task) {
 		}
 	case 2: // sleeper: sleeps a few ticks every slice
 		f.B(1)
-		t.State = TaskSleeping
+		s.SetState(t, TaskSleeping)
 		t.WakeTick = s.k.Ticks + 2 + t.counter%5
 		s.minWake = min(s.minWake, t.WakeTick)
 	case 3: // churner: small heap alloc/free churn when a heap exists

@@ -88,7 +88,7 @@ func (w *TimerWheel) tick() {
 	if now := w.k.Ticks; now >= w.minNext {
 		next := uint64(math.MaxUint64)
 		for _, t := range w.timers {
-			if !t.Armed || !t.Obj.Alive {
+			if !t.Armed || !t.Obj.Alive() {
 				continue
 			}
 			if t.NextFire > now {
@@ -122,7 +122,7 @@ func (w *TimerWheel) fire(t *Timer) {
 	case 1: // poke the scheduler's sleepers
 		f.B(2)
 		for _, task := range w.k.Sched.tasks {
-			if task.State == TaskSleeping {
+			if task.state == TaskSleeping {
 				f.B(3)
 				task.WakeTick = w.k.Ticks
 				w.k.Sched.minWake = min(w.k.Sched.minWake, task.WakeTick)
