@@ -92,6 +92,28 @@ func (r *Runtime) Reset() {
 	binary.LittleEndian.PutUint32(r.buf[12:], 0)
 }
 
+// Seen is the common case of TracePC, small enough to inline into the
+// core's per-block step: on an unfiltered runtime whose guard already holds
+// the edge into pc this epoch, it moves prev to pc, which is all TracePC
+// would do, and reports true. Otherwise it changes nothing, and the caller
+// must call TracePC.
+func (r *Runtime) Seen(pc uint64) bool {
+	return r.filter == nil && r.held(pc)
+}
+
+// held moves prev to pc and reports true when the guard slot of the edge
+// into pc is taken this epoch: either by this edge (seen) or by a colliding
+// one. Colliding edges are dropped for the epoch — first-wins, like AFL map
+// collisions — because re-recording on every alternation floods the buffer
+// from hot loops.
+func (r *Runtime) held(pc uint64) bool {
+	if r.guardEpoch[Edge(r.prev, pc)&(guardSlots-1)] != r.epoch {
+		return false
+	}
+	r.prev = pc
+	return true
+}
+
 // TracePC is the per-block instrumentation callback. It returns true when
 // the buffer just became full and the caller should trap to the host.
 func (r *Runtime) TracePC(pc uint64) (trap bool) {
@@ -99,17 +121,12 @@ func (r *Runtime) TracePC(pc uint64) (trap bool) {
 		r.prev = 0 // a gap in instrumented code breaks the edge chain
 		return false
 	}
-	e := Edge(r.prev, pc)
-	r.prev = pc
-	slot := e & (guardSlots - 1)
-	if r.guardEpoch[slot] == r.epoch {
-		// Slot taken this epoch: either this edge (seen) or a colliding one.
-		// Colliding edges are dropped for the epoch — first-wins, like AFL
-		// map collisions — because re-recording on every alternation floods
-		// the buffer from hot loops.
+	if r.held(pc) {
 		return false
 	}
-	r.guardEpoch[slot] = r.epoch
+	e := Edge(r.prev, pc)
+	r.prev = pc
+	r.guardEpoch[e&(guardSlots-1)] = r.epoch
 	count := binary.LittleEndian.Uint32(r.buf[4:])
 	if r.full && int(count) < r.cap {
 		// The host cleared the buffer (wrote count=0) after the full trap.

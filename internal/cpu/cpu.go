@@ -15,6 +15,7 @@ import (
 	"slices"
 	"time"
 
+	"github.com/eof-fuzz/eof/internal/cov"
 	"github.com/eof-fuzz/eof/internal/vtime"
 )
 
@@ -163,10 +164,13 @@ type Core struct {
 	covTrapPC uint64
 
 	// What Step charges and calls per block, fixed by SetInstrumented and
-	// SetCovHook: stepHook is covHook when instrumentation is on, else nil.
+	// SetCovHook: stepHook is covHook when instrumentation is on, else nil,
+	// and stepRT is stepHook when it is a *cov.Runtime, whose guard hits
+	// Step runs inline.
 	stepCycles uint64
 	stepDur    time.Duration
 	stepHook   CovHook
+	stepRT     *cov.Runtime
 
 	resume  chan resumeMsg
 	stopped chan Stop
@@ -179,7 +183,6 @@ type Core struct {
 	durPlain time.Duration
 
 	totalBlocks uint64
-	totalCycles uint64
 }
 
 // New creates a halted core bound to the clock.
@@ -221,6 +224,7 @@ func (c *Core) retune() {
 		c.stepCycles += c.cfg.InstrCycles
 		c.stepHook = c.covHook
 	}
+	c.stepRT, _ = c.stepHook.(*cov.Runtime)
 	c.stepDur = c.cfg.Model.Duration(c.stepCycles)
 }
 
@@ -241,9 +245,6 @@ func (c *Core) PC() uint64 { return c.pc }
 
 // TotalBlocks returns the number of basic blocks executed since creation.
 func (c *Core) TotalBlocks() uint64 { return c.totalBlocks }
-
-// TotalCycles returns the cycles consumed since creation.
-func (c *Core) TotalCycles() uint64 { return c.totalCycles }
 
 // SetBreakpoint arms a hardware breakpoint; it fails when the debug unit's
 // comparators are exhausted.
@@ -323,9 +324,11 @@ func (c *Core) Start(entry func()) {
 				}
 				panic(r) // real bug in the simulator, propagate loudly
 			}
+			// entry returned, or left through runtime.Goexit (a test's
+			// t.FailNow on the target goroutine): either way main is gone.
+			c.stopped <- Stop{Kind: StopExit, PC: c.pc}
 		}()
 		entry()
-		c.stopped <- Stop{Kind: StopExit, PC: c.pc}
 	}()
 }
 
@@ -374,13 +377,18 @@ func (c *Core) park(st Stop) {
 // Step executes one basic block at addr: advances the clock, feeds the
 // coverage hook, honours breakpoints and the step budget. Called by
 // instrumented kernel code on the target goroutine.
+//
+// Most blocks run on an edge the coverage guard already holds, where
+// TracePC would only move the runtime's prev. Step runs that check inline
+// (cov.Runtime.Seen) and calls the hook only when it misses, so a hit never
+// reaches TracePC.
 func (c *Core) Step(addr uint64) {
 	c.pc = addr
-	c.totalCycles += c.stepCycles
 	c.clock.Advance(c.stepDur)
 	c.totalBlocks++
 
-	if c.stepHook != nil && c.stepHook.TracePC(addr) {
+	hit := c.stepRT != nil && c.stepRT.Seen(addr)
+	if !hit && c.stepHook != nil && c.stepHook.TracePC(addr) {
 		c.pc = c.covTrapPC
 		c.park(Stop{Kind: StopCovFull, PC: c.covTrapPC})
 		c.pc = addr
@@ -416,7 +424,6 @@ func (c *Core) Idle(addr uint64, n int64) {
 			steps = c.budget
 		}
 		if steps > 0 {
-			c.totalCycles += uint64(steps) * c.cfg.CyclesPerBlock
 			c.clock.Advance(time.Duration(steps) * c.durPlain)
 			c.budget -= steps
 			n -= steps

@@ -1,11 +1,16 @@
 package cpu
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
+	"time"
 
+	"github.com/eof-fuzz/eof/internal/cov"
 	"github.com/eof-fuzz/eof/internal/vtime"
 )
 
@@ -121,6 +126,30 @@ func TestExit(t *testing.T) {
 	}
 	if !c.Dead() {
 		t.Fatal("not dead after exit")
+	}
+}
+
+// TestGoexitEndsRun checks that firmware leaving through runtime.Goexit, as
+// a test's t.FailNow does on the target goroutine, ends the run with
+// StopExit instead of leaving Continue blocked.
+func TestGoexitEndsRun(t *testing.T) {
+	_, c := newCore()
+	c.Start(func() {
+		c.Step(0x900)
+		runtime.Goexit()
+	})
+	done := make(chan Stop, 1)
+	go func() { done <- c.Continue(1000) }()
+	select {
+	case st := <-done:
+		if st.Kind != StopExit || st.PC != 0x900 {
+			t.Fatalf("stop = %+v", st)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Continue still blocked after the firmware's Goexit")
+	}
+	if !c.Dead() {
+		t.Fatal("not dead after Goexit")
 	}
 }
 
@@ -330,5 +359,122 @@ func TestBreakpointFilterExact(t *testing.T) {
 			set(a)
 		}
 		check(fmt.Sprintf("op %d", i))
+	}
+}
+
+// traceOnly hides a coverage runtime's type from the core, which then calls
+// TracePC through CovHook on every block instead of running guard hits
+// inline.
+type traceOnly struct{ rt *cov.Runtime }
+
+func (h traceOnly) TracePC(pc uint64) bool { return h.rt.TracePC(pc) }
+
+// TestInlineGuardHitMatchesTracePC drives two cores through the same seeded
+// block stream and host script: one with a *cov.Runtime hook, whose guard
+// hits Step runs inline, and one with an identical runtime behind
+// traceOnly. Small buffers trap mid-stream, the host drains them and resets
+// guard epochs, breakpoints come and go, and most continues get a budget of
+// 1–3 blocks, so guard hits meet every kind of stop Step makes. At every
+// stop the cores must agree on the stop, the clock, the block count and
+// every byte of the coverage buffer.
+func TestInlineGuardHitMatchesTracePC(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		capacity int
+		filter   func(pc uint64) bool
+	}{
+		{"tiny", 4, nil},
+		{"small", 48, nil},
+		{"filtered", 48, func(pc uint64) bool { return pc%12 != 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			type side struct {
+				clock *vtime.Clock
+				core  *Core
+				rt    *cov.Runtime
+				ram   []byte
+			}
+			newSide := func(inline bool) *side {
+				s := &side{ram: make([]byte, cov.BufferBytes(tc.capacity))}
+				s.clock, s.core = newCore()
+				s.rt = cov.NewRuntime(s.ram, tc.capacity)
+				s.rt.SetFilter(tc.filter)
+				var hook CovHook = s.rt
+				if !inline {
+					hook = traceOnly{s.rt}
+				}
+				s.core.SetInstrumented(true)
+				s.core.SetCovHook(hook, 0xFFF0)
+				s.core.Start(func() {
+					rnd := rand.New(rand.NewSource(7))
+					for {
+						s.core.Step(0x1000 + uint64(rnd.Intn(16))*4)
+					}
+				})
+				return s
+			}
+			sides := [2]*side{newSide(true), newSide(false)}
+			defer sides[0].core.Kill()
+			defer sides[1].core.Kill()
+			drain := func() {
+				for _, s := range sides {
+					binary.LittleEndian.PutUint32(s.ram[4:], 0)
+					s.rt.SyncFromRAM()
+				}
+			}
+
+			rnd := rand.New(rand.NewSource(1))
+			stops := map[StopKind]int{}
+			for step := 0; step < 4000; step++ {
+				addr := 0x1000 + uint64(rnd.Intn(16))*4
+				switch rnd.Intn(24) {
+				case 0: // the agent starts a test case
+					for _, s := range sides {
+						s.rt.ResetEpoch()
+					}
+				case 1: // the host clears the buffer's count
+					drain()
+				case 2, 3:
+					for _, s := range sides {
+						if s.core.BreakpointCount() < s.core.MaxBreakpoints() {
+							if err := s.core.SetBreakpoint(addr); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+				case 4, 5:
+					for _, s := range sides {
+						s.core.ClearBreakpoint(addr)
+					}
+				}
+				budget := int64(1 + rnd.Intn(3))
+				if rnd.Intn(8) == 0 {
+					budget = int64(4 + rnd.Intn(60))
+				}
+				inline, traced := sides[0].core.Continue(budget), sides[1].core.Continue(budget)
+				if inline.Kind != traced.Kind || inline.PC != traced.PC {
+					t.Fatalf("step %d: stop %v at %#x inline, %v at %#x through TracePC",
+						step, inline.Kind, inline.PC, traced.Kind, traced.PC)
+				}
+				stops[inline.Kind]++
+				a, b := sides[0], sides[1]
+				if a.clock.Now() != b.clock.Now() || a.core.TotalBlocks() != b.core.TotalBlocks() {
+					t.Fatalf("step %d: clock %v, %d blocks inline; %v, %d through TracePC",
+						step, a.clock.Now(), a.core.TotalBlocks(), b.clock.Now(), b.core.TotalBlocks())
+				}
+				if !bytes.Equal(a.ram, b.ram) {
+					t.Fatalf("step %d (%v stop): coverage buffer %x inline, %x through TracePC",
+						step, inline.Kind, a.ram, b.ram)
+				}
+				if inline.Kind == StopCovFull && rnd.Intn(2) == 0 {
+					drain()
+				}
+			}
+			for _, k := range []StopKind{StopCovFull, StopBreakpoint, StopBudget} {
+				if stops[k] == 0 {
+					t.Errorf("no %v stop in %v", k, stops)
+				}
+			}
+		})
 	}
 }

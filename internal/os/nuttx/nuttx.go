@@ -496,7 +496,7 @@ func (o *OS) buildTable() {
 		}
 		f.B(4)
 		t.Period = period
-		if !t.Armed {
+		if !t.Armed() {
 			f.B(5)
 			return 0, t.Start()
 		}
@@ -510,7 +510,7 @@ func (o *OS) buildTable() {
 			return 0, e
 		}
 		f.B(2)
-		obj.Data.(*rtos.Timer).Armed = false
+		obj.Data.(*rtos.Timer).Stop() // ErrState only says it was not armed
 		return 0, k.Objects.Delete(obj.ID)
 	})
 

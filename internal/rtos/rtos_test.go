@@ -364,7 +364,8 @@ func TestQueueSemantics(t *testing.T) {
 	testKernel(t, func(k *Kernel) {
 		obj, e := k.NewQueue("q", 8, 2)
 		if e.Failed() {
-			t.Fatalf("create: %v", e)
+			t.Errorf("create: %v", e)
+			return
 		}
 		q := obj.Data.(*Queue)
 		if e := q.Send([]byte("a"), 0); e.Failed() {
@@ -407,7 +408,8 @@ func TestSemaphore(t *testing.T) {
 	testKernel(t, func(k *Kernel) {
 		obj, e := k.NewSemaphore("s", 1, 2)
 		if e.Failed() {
-			t.Fatal(e)
+			t.Errorf("create: %v", e)
+			return
 		}
 		s := obj.Data.(*Semaphore)
 		if e := s.Take(0); e.Failed() {
@@ -495,7 +497,8 @@ func TestTimers(t *testing.T) {
 	testKernel(t, func(k *Kernel) {
 		obj, e := k.NewTimer("t", 5, false, 0)
 		if e.Failed() {
-			t.Fatal(e)
+			t.Errorf("create: %v", e)
+			return
 		}
 		tm := obj.Data.(*Timer)
 		if e := tm.Stop(); e != ErrState {
@@ -524,14 +527,16 @@ func TestPools(t *testing.T) {
 	testKernel(t, func(k *Kernel) {
 		obj, e := k.NewPool("p", 32, 4, "p_alloc", "p_free", "pool.c")
 		if e.Failed() {
-			t.Fatal(e)
+			t.Errorf("create: %v", e)
+			return
 		}
 		p := obj.Data.(*Pool)
 		var blocks []uint64
 		for i := 0; i < 4; i++ {
 			b, e := p.Alloc(0)
 			if e.Failed() {
-				t.Fatalf("alloc %d: %v", i, e)
+				t.Errorf("alloc %d: %v", i, e)
+				return
 			}
 			blocks = append(blocks, b)
 		}
@@ -558,7 +563,8 @@ func TestDriverStateMachine(t *testing.T) {
 		d := k.NewDriver("dma", "d_open", "d_ctl", "d_close", "drv.c")
 		h, e := d.Open()
 		if e.Failed() {
-			t.Fatal(e)
+			t.Errorf("open: %v", e)
+			return
 		}
 		// Order is enforced.
 		if _, e := d.Ctl(h, DrvCmdArm, 0); e != ErrState {

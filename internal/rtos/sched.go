@@ -3,6 +3,7 @@ package rtos
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // TaskState is a task's scheduling state.
@@ -51,7 +52,8 @@ const (
 const NumBehaviors = 4
 
 // Task is a kernel task/thread control block. Its state and priority change
-// only through Scheduler.SetState and SetPrio, which keep the pick keys.
+// only through Scheduler.SetState and SetPrio, which keep the pick keys and
+// ready bits.
 type Task struct {
 	Obj       *Object
 	BasePrio  int // original priority (mutex inheritance restores to it)
@@ -82,9 +84,11 @@ type Scheduler struct {
 	tasks   []*Task
 	current *Task
 	// keys[i] is tasks[i]'s pick key: its priority while it is ready or
-	// running, keyIdle otherwise. SetState and SetPrio keep it, so pick
-	// reads one byte per task.
-	keys []uint8
+	// running, keyIdle otherwise, and bit i of ready is set while keys[i]
+	// is not keyIdle. Create, SetState and SetPrio keep both through
+	// setKey, so pick reads one byte per ready task and skips the rest.
+	keys  []uint8
+	ready []uint64
 
 	fnTick   *Fn
 	fnPick   *Fn
@@ -150,14 +154,18 @@ func (s *Scheduler) Create(name string, prio, stackSize, behavior int) (*Object,
 	}
 	t.Obj = s.k.Objects.New(ObjTask, name, t)
 	s.tasks = append(s.tasks, t)
-	s.keys = append(s.keys, t.key())
+	s.keys = append(s.keys, keyIdle)
+	if len(s.ready)*64 < len(s.keys) {
+		s.ready = append(s.ready, 0)
+	}
+	s.setKey(t)
 	return t.Obj, OK
 }
 
 // SetState moves t to state st.
 func (s *Scheduler) SetState(t *Task, st TaskState) {
 	t.state = st
-	s.keys[t.idx] = t.key()
+	s.setKey(t)
 }
 
 // SetPrio sets t's priority, which must lie in [PrioMax, PrioMin]; callers
@@ -167,15 +175,19 @@ func (s *Scheduler) SetPrio(t *Task, prio int) {
 		panic(fmt.Sprintf("rtos: task priority %d outside [%d, %d]", prio, PrioMax, PrioMin))
 	}
 	t.prio = prio
-	s.keys[t.idx] = t.key()
+	s.setKey(t)
 }
 
-// key is t's pick key.
-func (t *Task) key() uint8 {
+// setKey stores t's pick key and ready bit.
+func (s *Scheduler) setKey(t *Task) {
+	word, bit := &s.ready[t.idx/64], uint64(1)<<(t.idx%64)
 	if t.state == TaskReady || t.state == TaskRunning {
-		return uint8(t.prio)
+		s.keys[t.idx] = uint8(t.prio)
+		*word |= bit
+	} else {
+		s.keys[t.idx] = keyIdle
+		*word &^= bit
 	}
-	return keyIdle
 }
 
 // Current returns the running task, or nil before any slice has run.
@@ -258,26 +270,40 @@ func (s *Scheduler) pick() *Task {
 // wrapping around, for its records: the first ready or running task and each
 // one with a strictly higher priority (lower key) than every one before it.
 // It returns how many there are and the last one's index, or -1.
+//
+// Other tasks hold keyIdle, which is never a record, so the scan visits only
+// the set bits of ready: the start word's from start on, the words after it
+// and, wrapping, those before it, and last the start word's below start. It
+// stops at key 0, which no key is below. The comparison has no branch on the
+// keys (the compiler turns it into conditional moves), so keys in no
+// learnable order cost no mispredictions.
 func (s *Scheduler) rotation(start int) (n, best int) {
-	n, best, key := records(s.keys, start, len(s.keys), 0, -1, keyIdle)
-	n, best, _ = records(s.keys, 0, start, n, best, key)
-	return n, best
-}
-
-// records continues a rotation scan over keys[lo:hi] that has found n
-// records, the last at index best with key key. It stops at key 0, which no
-// key is below. The loop body has no branch on the keys (the compiler turns
-// the comparison into conditional moves), so keys in no learnable order cost
-// no mispredictions.
-func records(keys []uint8, lo, hi, n, best, key int) (int, int, int) {
-	for i := lo; i < hi && key > 0; i++ {
-		k := int(keys[i])
-		if k < key {
-			n, best = n+1, i
-		}
-		key = min(key, k)
+	keys, ready := s.keys, s.ready
+	best, key := -1, keyIdle
+	if len(ready) == 0 {
+		return 0, best
 	}
-	return n, best, key
+	w, shift := start/64, uint(start%64)
+	for step := 0; step <= len(ready) && key > 0; step++ {
+		word := ready[w]
+		if step == 0 {
+			word &= ^uint64(0) << shift
+		} else if step == len(ready) {
+			word &= 1<<shift - 1
+		}
+		for ; word != 0 && key > 0; word &= word - 1 {
+			i := w*64 + bits.TrailingZeros64(word)
+			k := int(keys[i])
+			if k < key {
+				n, best = n+1, i
+			}
+			key = min(key, k)
+		}
+		if w++; w == len(ready) {
+			w = 0
+		}
+	}
+	return n, best
 }
 
 func (s *Scheduler) contextSwitch(next *Task) {

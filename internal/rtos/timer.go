@@ -1,6 +1,9 @@
 package rtos
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Timer parameter bounds.
 const (
@@ -13,19 +16,27 @@ type Timer struct {
 	Obj      *Object
 	Period   uint64
 	OneShot  bool
-	Armed    bool
+	armed    bool // written only by Start, Stop and the scan
 	NextFire uint64
 	Fires    uint64
 	Behavior int
 	k        *Kernel
+	idx      int // index in TimerWheel.timers: creation order
 }
 
 // TimerWheel holds all software timers and fires them from the tick path.
 type TimerWheel struct {
 	k      *Kernel
 	timers []*Timer
-	fnTick *Fn
-	fnCb   *Fn
+	// started has bit i set from the Start that arms timers[i] until a scan
+	// finds it disarmed or deleted and clears the bit. The scan walks the
+	// set bits, in creation order, so it skips timers that stay stopped or
+	// deleted. Only Start arms a timer, so the set bits cover every live
+	// armed one; a scan that unwinds part-way leaves bits set, which still
+	// covers them.
+	started []uint64
+	fnTick  *Fn
+	fnCb    *Fn
 	// minNext is a lower bound on every live armed timer's NextFire, so a
 	// tick below it has no timer to fire and skips the scan. Start lowers it
 	// (no callback starts a timer, so none runs inside a scan) and each
@@ -51,30 +62,39 @@ func (k *Kernel) NewTimer(name string, period uint64, oneShot bool, behavior int
 		OneShot:  oneShot,
 		Behavior: ((behavior % 3) + 3) % 3,
 		k:        k,
+		idx:      len(k.Timers.timers),
 	}
 	t.Obj = k.Objects.New(ObjTimer, name, t)
-	k.Timers.timers = append(k.Timers.timers, t)
+	w := k.Timers
+	w.timers = append(w.timers, t)
+	if len(w.started)*64 < len(w.timers) {
+		w.started = append(w.started, 0)
+	}
 	return t.Obj, OK
 }
 
+// Armed reports whether the timer is armed.
+func (t *Timer) Armed() bool { return t.armed }
+
 // Start arms the timer relative to the current tick.
 func (t *Timer) Start() Errno {
-	if t.Armed {
+	if t.armed {
 		return ErrBusy
 	}
-	t.Armed = true
+	t.armed = true
 	t.NextFire = t.k.Ticks + t.Period
 	w := t.k.Timers
 	w.minNext = min(w.minNext, t.NextFire)
+	w.started[t.idx/64] |= 1 << (t.idx % 64)
 	return OK
 }
 
 // Stop disarms the timer.
 func (t *Timer) Stop() Errno {
-	if !t.Armed {
+	if !t.armed {
 		return ErrState
 	}
-	t.Armed = false
+	t.armed = false
 	return OK
 }
 
@@ -87,25 +107,31 @@ func (w *TimerWheel) tick() {
 	f.Enter()
 	if now := w.k.Ticks; now >= w.minNext {
 		next := uint64(math.MaxUint64)
-		for _, t := range w.timers {
-			if !t.Armed || !t.Obj.Alive() {
-				continue
+		for wi, word := range w.started {
+			for ; word != 0; word &= word - 1 {
+				bit := word & -word
+				t := w.timers[wi*64+bits.TrailingZeros64(word)]
+				if !t.armed || !t.Obj.Alive() {
+					w.started[wi] &^= bit
+					continue
+				}
+				if t.NextFire > now {
+					next = min(next, t.NextFire)
+					continue
+				}
+				f.B(1)
+				t.Fires++
+				if t.OneShot {
+					f.B(2)
+					t.armed = false
+					w.started[wi] &^= bit
+				} else {
+					f.B(3)
+					t.NextFire = now + t.Period
+					next = min(next, t.NextFire)
+				}
+				w.fire(t)
 			}
-			if t.NextFire > now {
-				next = min(next, t.NextFire)
-				continue
-			}
-			f.B(1)
-			t.Fires++
-			if t.OneShot {
-				f.B(2)
-				t.Armed = false
-			} else {
-				f.B(3)
-				t.NextFire = now + t.Period
-				next = min(next, t.NextFire)
-			}
-			w.fire(t)
 		}
 		w.minNext = next
 	}
